@@ -60,21 +60,6 @@ class HardPath:
         return {int(t): int(x) for t, x in zip(self.taus, self.lags)}
 
 
-def _aligned(prev, lo_prev, lo, width, shift):
-    """Values of a previous layer at source index i - shift, aligned to the
-    current layer's i = lo .. lo+width-1, +inf where the source is absent."""
-    out = np.full(width, np.inf)
-    if prev is None or prev.size == 0:
-        return out
-    hi_prev = lo_prev + prev.size - 1
-    i_first = max(lo, lo_prev + shift)
-    i_last = min(lo + width - 1, hi_prev + shift)
-    if i_first > i_last:
-        return out
-    out[i_first - lo : i_last - lo + 1] = prev[i_first - shift - lo_prev : i_last - shift - lo_prev + 1]
-    return out
-
-
 def optimal_path(l, start=None, end=None):
     """Minimal-cost path between two lattice nodes (corners by default)."""
     n = l.n
@@ -98,35 +83,44 @@ def optimal_path(l, start=None, end=None):
     def bounds(tau):
         return max(si, tau - ej), min(ei, tau - sj)
 
-    # Rolling two layers of costs plus per-layer backpointers for backtrack.
+    # Accumulated costs live in three rotating rows of length n + 2, node i
+    # at index i + 1. A layer writes its costs at lo+1 .. hi+1 and +inf
+    # sentinels at lo and hi+2. Layer bounds move by at most one per layer,
+    # so the predecessor slices (lo .. hi+1 of the previous row, lo .. hi of
+    # the one before) stay inside what those layers wrote and never read a
+    # cost left from the layer a row held three layers earlier. The rows
+    # start at +inf, which stands for the absent layers before tau0. (With
+    # the rectangle bounds used here no stale cost reaches those slices
+    # even without sentinels; they keep the loop right for any bounds that
+    # step by at most one, such as a lag band.)
+    rows = np.full((3, n + 2), np.inf)
+    left = np.empty(n, dtype=bool)
     codes = {}
     lows = {}
-    prev1 = prev2 = None
-    lo1 = lo2 = 0
-    for tau in range(tau0, tau_end + 1):
+    for k, tau in enumerate(range(tau0, tau_end + 1)):
         lo, hi = bounds(tau)
-        width = hi - lo + 1
         eps = _layer_costs(l, tau, lo, hi)
+        cur = rows[k % 3]
+        best = cur[lo + 1 : hi + 2]
         if tau == tau0:
-            cur = eps.copy()
-            code = np.full(width, _SEED, dtype=np.uint8)
+            best[:] = eps
+            code = np.full(hi - lo + 1, _SEED, dtype=np.uint8)
         else:
-            c_diag = _aligned(prev2, lo2, lo, width, 1)
-            c_up = _aligned(prev1, lo1, lo, width, 1)
-            c_left = _aligned(prev1, lo1, lo, width, 0)
-            best = c_diag
-            code = np.zeros(width, dtype=np.uint8)
-            m = c_up < best
-            best = np.where(m, c_up, best)
-            code[m] = _UP
-            m = c_left < best
-            best = np.where(m, c_left, best)
-            code[m] = _LEFT
-            cur = eps + best
+            p1 = rows[(k - 1) % 3]
+            p2 = rows[(k - 2) % 3]
+            c_diag = p2[lo : hi + 1]
+            c_up = p1[lo : hi + 1]
+            c_left = p1[lo + 1 : hi + 2]
+            # Strict compares keep the diagonal, then (i-1, j), on ties.
+            code = (c_up < c_diag).view(np.uint8)  # _UP (1) or _DIAG (0)
+            np.minimum(c_diag, c_up, out=best)
+            m = np.less(c_left, best, out=left[: hi - lo + 1])
+            np.putmask(code, m, _LEFT)
+            np.minimum(best, c_left, out=best)
+            best += eps
+        cur[lo] = cur[hi + 2] = np.inf
         codes[tau] = code
         lows[tau] = lo
-        prev2, lo2 = prev1, lo1
-        prev1, lo1 = cur, lo
 
     # Walk back from the end following stored predecessor codes.
     path = []

@@ -5,7 +5,7 @@ import pytest
 
 from toplag.errors import InvalidBoundaryError
 from toplag.ingest import AlignedPair
-from toplag.landscape import build_landscape
+from toplag.landscape import DistanceMode, build_landscape, layer_bounds
 from toplag.synth import LagScenario, enumerate_directed_paths, generate
 from toplag.zerotemp import HardPath, local_mapping, optimal_path
 
@@ -49,6 +49,118 @@ class _Shifted:
 
     def reflected(self):
         return _Shifted(self._base.reflected(), self._c)
+
+
+class _Matrix:
+    """Landscape double backed by an explicit cost matrix (test double)."""
+
+    def __init__(self, e):
+        self._e = np.asarray(e, dtype=np.float64)
+        self.n = self._e.shape[0]
+
+    def layer(self, tau):
+        lo, hi = layer_bounds(self.n, tau)
+        i = np.arange(lo, hi + 1)
+        return self._e[i, tau - i]
+
+    def nodes(self, i, j):
+        return self._e[np.asarray(i), np.asarray(j)]
+
+
+# Reference recursion: optimal_path as it was written before the padded-row
+# layer loop, with three fresh +inf-filled alignments per layer. The layer
+# loop must reproduce its nodes, mapping and total energy bit for bit.
+_DIAG, _UP, _LEFT, _SEED = 0, 1, 2, 3
+
+
+def _aligned(prev, lo_prev, lo, width, shift):
+    """Values of a previous layer at source index i - shift, aligned to the
+    current layer's i = lo .. lo+width-1, +inf where the source is absent."""
+    out = np.full(width, np.inf)
+    if prev is None or prev.size == 0:
+        return out
+    hi_prev = lo_prev + prev.size - 1
+    i_first = max(lo, lo_prev + shift)
+    i_last = min(lo + width - 1, hi_prev + shift)
+    if i_first > i_last:
+        return out
+    out[i_first - lo : i_last - lo + 1] = prev[i_first - shift - lo_prev : i_last - shift - lo_prev + 1]
+    return out
+
+
+def _reference_path(l, start, end):
+    si, sj = start
+    ei, ej = end
+    tau0 = si + sj
+    tau_end = ei + ej
+
+    def bounds(tau):
+        return max(si, tau - ej), min(ei, tau - sj)
+
+    codes = {}
+    lows = {}
+    prev1 = prev2 = None
+    lo1 = lo2 = 0
+    for tau in range(tau0, tau_end + 1):
+        lo, hi = bounds(tau)
+        width = hi - lo + 1
+        full = l.layer(tau)
+        glo, _ = layer_bounds(l.n, tau)
+        eps = full[lo - glo : hi - glo + 1]
+        if tau == tau0:
+            cur = eps.copy()
+            code = np.full(width, _SEED, dtype=np.uint8)
+        else:
+            c_diag = _aligned(prev2, lo2, lo, width, 1)
+            c_up = _aligned(prev1, lo1, lo, width, 1)
+            c_left = _aligned(prev1, lo1, lo, width, 0)
+            best = c_diag
+            code = np.zeros(width, dtype=np.uint8)
+            m = c_up < best
+            best = np.where(m, c_up, best)
+            code[m] = _UP
+            m = c_left < best
+            best = np.where(m, c_left, best)
+            code[m] = _LEFT
+            cur = eps + best
+        codes[tau] = code
+        lows[tau] = lo
+        prev2, lo2 = prev1, lo1
+        prev1, lo1 = cur, lo
+
+    path = []
+    tau, i = tau_end, ei
+    while True:
+        path.append((i, tau - i))
+        c = codes[tau][i - lows[tau]]
+        if c == _SEED:
+            break
+        if c == _DIAG:
+            tau -= 2
+            i -= 1
+        elif c == _UP:
+            tau -= 1
+            i -= 1
+        else:
+            tau -= 1
+    path.reverse()
+    nodes = np.array(path, dtype=np.int64)
+    total = float(np.sum(l.nodes(nodes[:, 0], nodes[:, 1])))
+    mapping = np.empty(ei - si + 1, dtype=np.int64)
+    for i, j in path:
+        mapping[i - si] = j
+    return nodes, mapping, total
+
+
+def _assert_matches_reference(l, start=None, end=None):
+    n = l.n
+    start = (0, 0) if start is None else start
+    end = (n - 1, n - 1) if end is None else end
+    got = optimal_path(l, start=start, end=end)
+    nodes, mapping, total = _reference_path(l, start, end)
+    assert np.array_equal(got.nodes, nodes)
+    assert np.array_equal(got.mapping, mapping)
+    assert got.total_energy == total
 
 
 class TestLocalMapping:
@@ -158,6 +270,62 @@ class TestOptimalPath:
         for r, (i, j) in enumerate(p.nodes):
             assert p.mapping[i] >= j
         assert p.mapping.size == 8
+
+    def test_up_preferred_over_left_on_exact_ties(self):
+        # (2, 2) is reached at cost 1 from both (1, 2) and (2, 1); the
+        # (i-1, j) predecessor wins the tie, so the path runs above the
+        # diagonal
+        e = [[0, 1, 9], [1, 9, 0], [9, 0, 0]]
+        p = optimal_path(_Matrix(e))
+        assert p.nodes.tolist() == [[0, 0], [0, 1], [1, 2], [2, 2]]
+        assert p.total_energy == 1.0
+
+
+class TestMatchesReferenceRecursion:
+    def test_random_pairs_in_every_mode(self):
+        for mode in DistanceMode.ALL:
+            for seed in range(12):
+                n = 3 + seed * 5
+                _assert_matches_reference(build_landscape(random_pair(seed, n), mode=mode))
+
+    def test_small_integer_pairs_with_many_ties(self):
+        for seed in range(20):
+            for high in (2, 3, 10):
+                l = build_landscape(integer_pair(seed, 7 + seed, high=high))
+                _assert_matches_reference(l)
+
+    def test_random_non_corner_anchors(self):
+        rng = np.random.default_rng(7)
+        for seed in range(60):
+            n = int(rng.integers(2, 30))
+            l = build_landscape(integer_pair(seed, n, high=4), mode="mixed")
+            si, ei = np.sort(rng.integers(0, n, size=2))
+            sj, ej = np.sort(rng.integers(0, n, size=2))
+            _assert_matches_reference(l, (int(si), int(sj)), (int(ei), int(ej)))
+
+    def test_degenerate_rectangles(self):
+        l = build_landscape(random_pair(5, 9))
+        for start, end in (
+            ((4, 4), (4, 4)),  # start == end
+            ((3, 0), (3, 8)),  # single row
+            ((0, 6), (8, 6)),  # single column
+            ((0, 8), (8, 8)),  # last column
+            ((8, 0), (8, 8)),  # last row
+            ((2, 7), (3, 8)),
+        ):
+            _assert_matches_reference(l, start, end)
+
+    def test_two_by_two_lattice(self):
+        for seed in range(10):
+            _assert_matches_reference(build_landscape(integer_pair(seed, 2, high=3)))
+
+    def test_long_series(self):
+        _assert_matches_reference(build_landscape(random_pair(21, 700)))
+
+    def test_proxy_returning_fresh_layers(self):
+        for seed in range(5):
+            l = build_landscape(integer_pair(seed, 11, high=3))
+            _assert_matches_reference(_Shifted(l, 0.5))
 
 
 class TestConstantShift:
