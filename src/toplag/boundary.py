@@ -164,6 +164,9 @@ def _bridge_table(l, starts, ends, T, budget):
                     break
         del scout
 
+    # Between the last start layer and the first end layer every admissible
+    # pair is live.
+    all_live_lo, all_live_hi = int(tau_s.max()), int(tau_e.min())
     esum = np.zeros((len(starts), len(ends)))
     fwd = _StackedSweep(l, list(starts), T)
     for k in range(len(edges) - 1):
@@ -179,10 +182,13 @@ def _bridge_table(l, starts, ends, T, budget):
         for tau in range(b0, b1 + 1):
             fwd.step()
             sb = buf.pop(tau)
-            live = (tau_s <= tau)[:, None] & (tau <= tau_e)[None, :] & adm
-            if not live.any():
-                continue
-            eps = l.layer(tau)
+            if all_live_lo <= tau <= all_live_hi:
+                live = adm
+            else:
+                live = (tau_s <= tau)[:, None] & (tau <= tau_e)[None, :] & adm
+                if not live.any():
+                    continue
+            eps = fwd.eps
             emax = float(eps.max())
             u = np.exp((eps - emax) / T)  # bridge weight carries exp(+eps/T)
             fu = fwd.s1 * u[None, :]
@@ -191,15 +197,15 @@ def _bridge_table(l, starts, ends, T, budget):
             with np.errstate(invalid="ignore", divide="ignore"):
                 ratio = num / den
             good = live & (den > 0) & np.isfinite(ratio)
-            esum += np.where(good, ratio, 0.0)
-            bad = live & ~good
-            if bad.any():
-                for s_idx, e_idx in zip(*np.nonzero(bad)):
-                    if np.isinf(esum[s_idx, e_idx]):
-                        continue
-                    esum[s_idx, e_idx] += _log_layer_cost(
-                        fwd.s1[s_idx], sb[e_idx], eps, T
-                    )
+            np.add(esum, ratio, out=esum, where=good)
+            if good.all():
+                continue
+            for s_idx, e_idx in zip(*np.nonzero(live & ~good)):
+                if np.isinf(esum[s_idx, e_idx]):
+                    continue
+                esum[s_idx, e_idx] += _log_layer_cost(
+                    fwd.s1[s_idx], sb[e_idx], eps, T
+                )
     lengths = tau_e[None, :] - tau_s[:, None] + 1
     with np.errstate(invalid="ignore"):
         table = np.where(adm, esum / lengths, np.nan)
@@ -214,7 +220,7 @@ def _forward_table(l, starts, ends, T):
     q = np.zeros((len(starts), n_layers))
     for tau in range(n_layers):
         fwd.step()
-        eps = l.layer(tau)
+        eps = fwd.eps
         den = fwd.s1.sum(axis=1)
         num = fwd.s1 @ eps
         alive = den > 0
@@ -275,7 +281,7 @@ def _bridge_pair_path(l, start, end, T, budget):
             if not tau_0 <= tau <= tau_end:
                 continue
             sf = fwd.s1[0]
-            eps = l.layer(tau)
+            eps = fwd.eps
             with np.errstate(divide="ignore"):
                 lw = np.log(sf) + np.log(sb) + eps / T
             finite = np.isfinite(lw)
@@ -326,7 +332,7 @@ def _forward_pair_path(l, start, end, T):
         z = sf.sum()
         if not z > 0:
             raise EmptyLayerError(tau)
-        eps = l.layer(tau)
+        eps = fwd.eps
         x = layer_lags(n, tau)
         idx = tau - tau_0
         mean[idx] = float((x * sf).sum() / z)

@@ -53,28 +53,27 @@ class RotatedCoord:
         return ((self.tau - self.x) // 2, (self.tau + self.x) // 2)
 
 
-def _accumulate(out, prev, lo_prev, lo, shift):
-    """out[:, i-lo] += prev[:, i-shift-lo_prev] over the overlapping i."""
-    if prev is None or prev.shape[1] == 0:
-        return
-    width = out.shape[1]
-    hi_prev = lo_prev + prev.shape[1] - 1
-    i_first = max(lo, lo_prev + shift)
-    i_last = min(lo + width - 1, hi_prev + shift)
-    if i_first > i_last:
-        return
-    out[:, i_first - lo : i_last - lo + 1] += prev[
-        :, i_first - shift - lo_prev : i_last - shift - lo_prev + 1
-    ]
-
-
 class _StackedSweep:
     """Forward transfer-matrix sweeps for several seed nodes at once.
 
-    Field f holds the path weights from seed f. Only the two most recent
-    layers are retained: stored values are scaled so each field's layer
-    maximum is 1, with true weights equal to stored * exp(logscale[f]).
-    Layers are produced in order tau = 0, 1, ..., 2n-2 by step().
+    Field f holds the path weights from seed f. Stored values are scaled so
+    each field's layer maximum is 1, with true weights equal to
+    stored * exp(logscale[f]). Layers are produced in order
+    tau = 0, 1, ..., 2n-2 by step(); afterwards s1 is the current layer
+    over its full extent, log1 its per-field log scales and eps its
+    landscape costs.
+
+    Only the three most recent layers are kept, in three rotating
+    (fields, n + 2) rows with node i at column i + 1. A layer writes its
+    weights at columns lo+1 .. hi+1 and zero sentinels at lo and hi+2.
+    Layer bounds move by at most one per layer, so the predecessor slices
+    a step reads (columns lo .. hi+1 of the previous row, lo .. hi of the
+    one before) stay inside what those layers wrote and never read a
+    weight left from the layer a row held three layers earlier; the
+    sentinels stand for the nodes outside a layer's extent. (With the
+    full-lattice bounds the zero fill of fresh or restored rows already
+    covers those cells; the sentinels keep the step right for any bounds
+    that step by at most one, such as a lag band.)
     """
 
     def __init__(self, l, seeds, temperature):
@@ -92,66 +91,69 @@ class _StackedSweep:
                     f"seed ({i}, {j}) outside the {self.n} x {self.n} lattice"
                 )
             self.seed_by_tau.setdefault(i + j, []).append((f, i))
+        self.rows = np.zeros((3, self.n_fields, self.n + 2))
         self.tau = -1
         self.s1 = None  # stored weights on layer tau, full layer extent
         self.lo1 = 0
         self.log1 = np.full(self.n_fields, -np.inf)
-        self.s2 = None  # layer tau - 1
-        self.lo2 = 0
-        self.log2 = np.full(self.n_fields, -np.inf)
+        self.log2 = np.full(self.n_fields, -np.inf)  # layer tau - 1
+        self.eps = None  # landscape costs on layer tau
+
+    def _layer(self, tau):
+        """Stored weights on a retained layer, over its full extent."""
+        lo, hi = layer_bounds(self.n, tau)
+        return self.rows[tau % 3, :, lo + 1 : hi + 2]
 
     def snapshot(self):
+        """Copies of the two retained layers, over their full extents."""
         return {
             "tau": self.tau,
             "s1": None if self.s1 is None else self.s1.copy(),
-            "lo1": self.lo1,
             "log1": self.log1.copy(),
-            "s2": None if self.s2 is None else self.s2.copy(),
-            "lo2": self.lo2,
+            "s2": self._layer(self.tau - 1).copy() if self.tau >= 1 else None,
             "log2": self.log2.copy(),
         }
 
     def restore(self, snap):
-        self.tau = snap["tau"]
-        self.s1 = None if snap["s1"] is None else snap["s1"].copy()
-        self.lo1 = snap["lo1"]
+        self.rows[:] = 0.0
+        self.tau = tau = snap["tau"]
+        self.s1, self.lo1, self.eps = None, 0, None
+        if snap["s2"] is not None:
+            self._layer(tau - 1)[:] = snap["s2"]
+        if snap["s1"] is not None:
+            self.s1 = self._layer(tau)
+            self.s1[:] = snap["s1"]
+            self.lo1 = layer_bounds(self.n, tau)[0]
         self.log1 = snap["log1"].copy()
-        self.s2 = None if snap["s2"] is None else snap["s2"].copy()
-        self.lo2 = snap["lo2"]
         self.log2 = snap["log2"].copy()
 
     def step(self):
-        """Produce the next layer; afterwards s1/log1/lo1 describe it."""
+        """Produce the next layer; afterwards s1/log1/lo1/eps describe it."""
         tau = self.tau + 1
         if tau > 2 * self.n - 2:
             raise EmptyLayerError(tau)
         lo, hi = layer_bounds(self.n, tau)
-        width = hi - lo + 1
         eps = self.l.layer(tau)
         emin = float(eps.min())
         w = np.exp((emin - eps) / self.T)  # in (0, 1]
 
         log_max = np.maximum(self.log1, self.log2)
-        active = np.isfinite(log_max)
-        f1 = np.zeros(self.n_fields)
-        f2 = np.zeros(self.n_fields)
-        if active.any():
-            f1[active] = np.exp(self.log1[active] - log_max[active])
-            f2[active] = np.exp(self.log2[active] - log_max[active])
+        base = np.where(np.isfinite(log_max), log_max, 0.0)
+        f1 = np.exp(self.log1 - base)[:, None]
+        f2 = np.exp(self.log2 - base)[:, None]
 
-        raw = np.zeros((self.n_fields, width))
-        _accumulate(raw, self.s1, self.lo1, lo, 0)  # predecessor (i, j-1)
-        _accumulate(raw, self.s1, self.lo1, lo, 1)  # predecessor (i-1, j)
-        raw *= f1[:, None]
-        if self.s2 is not None and self.s2.shape[1]:
-            diag = np.zeros((self.n_fields, width))
-            _accumulate(diag, self.s2, self.lo2, lo, 1)  # predecessor (i-1, j-1)
-            diag *= f2[:, None]
-            raw += diag
-        raw *= w[None, :]
+        p1 = self.rows[(tau - 1) % 3]
+        p2 = self.rows[(tau - 2) % 3]
+        cur = self.rows[tau % 3]
+        raw = cur[:, lo + 1 : hi + 2]
+        # predecessors (i, j-1) and (i-1, j) on layer tau-1, (i-1, j-1) on tau-2
+        np.add(p1[:, lo + 1 : hi + 2], p1[:, lo : hi + 1], out=raw)
+        raw *= f1
+        raw += p2[:, lo : hi + 1] * f2
+        raw *= w
 
         # A field's whole mass at its seed layer is the seed's own weight.
-        log_pre = np.where(active, log_max, 0.0) - emin / self.T
+        log_pre = base - emin / self.T
         for f, i_seed in self.seed_by_tau.get(tau, ()):
             if not lo <= i_seed <= hi:
                 raise InvalidBoundaryError(
@@ -159,16 +161,17 @@ class _StackedSweep:
                 )
             raw[f, i_seed - lo] = w[i_seed - lo]
 
+        # A field with no weight left keeps zeros and a -inf log scale.
         peak = raw.max(axis=1)
-        alive = peak > 0
-        stored = np.zeros_like(raw)
-        log_new = np.full(self.n_fields, -np.inf)
-        if alive.any():
-            stored[alive] = raw[alive] / peak[alive, None]
-            log_new[alive] = log_pre[alive] + np.log(peak[alive])
+        raw /= np.where(peak > 0, peak, 1.0)[:, None]
+        with np.errstate(divide="ignore"):
+            log_new = log_pre + np.log(peak)
+        cur[:, lo] = 0.0
+        cur[:, hi + 2] = 0.0
 
-        self.s2, self.lo2, self.log2 = self.s1, self.lo1, self.log1
-        self.s1, self.lo1, self.log1 = stored, lo, log_new
+        self.log2 = self.log1
+        self.s1, self.lo1, self.log1 = raw, lo, log_new
+        self.eps = eps
         self.tau = tau
 
 

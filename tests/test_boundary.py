@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from toplag import boundary
 from toplag.boundary import (
     BoundarySpec,
     enumerate_boundaries,
@@ -15,6 +16,7 @@ from toplag.synth import LagScenario, brute_force_thermal, generate
 from toplag.thermal import backward_weights, forward_weights, thermal_average
 
 from conftest import random_pair
+from test_thermal import _ReferenceSweep
 
 
 class TestEnumerateBoundaries:
@@ -191,3 +193,64 @@ class TestSelectOptimal:
         res = select_optimal(l, temperature=2.0, spec=spec)
         assert res.energy_table.shape == (1, 1)
         assert res.best_start == (0, 0) and res.best_end == (39, 39)
+
+
+class _ReferenceSweepWithCosts(_ReferenceSweep):
+    """The reference sweep plus the eps attribute the scan reads."""
+
+    def step(self):
+        super().step()
+        self.eps = self.l.layer(self.tau)
+
+
+def _result_bytes(res):
+    p = res.best
+    return (
+        res.energy_table.tobytes(),
+        p.mean_lag.tobytes(),
+        p.layer_cost.tobytes(),
+        repr(p.energy),
+        repr(p.log_partition),
+        res.best_start,
+        res.best_end,
+        repr(res.runner_up_gap),
+        res.inadmissible,
+        res.underflowed,
+    )
+
+
+class TestScanMatchesReferenceSweep:
+    """select_optimal gives the same bytes on the padded-row sweep as on the
+    reference sweep it replaced (tests/test_thermal.py)."""
+
+    def _compare(self, monkeypatch, l, **kw):
+        got = select_optimal(l, **kw)
+        with monkeypatch.context() as m:
+            m.setattr(boundary, "_StackedSweep", _ReferenceSweepWithCosts)
+            want = select_optimal(l, **kw)
+        assert _result_bytes(got) == _result_bytes(want)
+        return got
+
+    _fixture = TestSelectOptimal._fixture
+
+    @pytest.mark.parametrize("mode", ["bridge", "forward"])
+    def test_one_replay_block(self, monkeypatch, mode):
+        l = self._fixture(seed=13, n=80)
+        self._compare(monkeypatch, l, temperature=2.0, depth=6, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["bridge", "forward"])
+    def test_several_replay_blocks(self, monkeypatch, mode):
+        l = self._fixture(seed=13, n=80)
+        tight = 80 * 11 * 8 * 4
+        self._compare(
+            monkeypatch, l, temperature=0.5, depth=6, mode=mode, memory_budget=tight
+        )
+
+    def test_cold_scan_with_underflow_fallbacks(self, monkeypatch):
+        # T = 0.01 sends many pair-layers to the log-space fallback and
+        # underflows some pairs outright; the budget forces several blocks.
+        l = self._fixture(seed=0, n=60)
+        res = self._compare(
+            monkeypatch, l, temperature=0.01, depth=10, memory_budget=36480
+        )
+        assert res.underflowed > 0

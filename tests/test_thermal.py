@@ -15,6 +15,7 @@ from toplag.landscape import build_landscape, layer_bounds
 from toplag.synth import LagScenario, brute_force_thermal, generate
 from toplag.thermal import (
     RotatedCoord,
+    _StackedSweep,
     backward_weights,
     forward_weights,
     path_energy,
@@ -23,6 +24,128 @@ from toplag.thermal import (
 from toplag.zerotemp import optimal_path
 
 from conftest import integer_pair, random_pair
+
+
+# Reference sweep: _StackedSweep as it was written before the padded-row
+# layout, with fresh zero-filled layers and three aligned accumulations per
+# step. The padded-row sweep must reproduce its layers bit for bit.
+def _accumulate(out, prev, lo_prev, lo, shift):
+    """out[:, i-lo] += prev[:, i-shift-lo_prev] over the overlapping i."""
+    if prev is None or prev.shape[1] == 0:
+        return
+    width = out.shape[1]
+    hi_prev = lo_prev + prev.shape[1] - 1
+    i_first = max(lo, lo_prev + shift)
+    i_last = min(lo + width - 1, hi_prev + shift)
+    if i_first > i_last:
+        return
+    out[:, i_first - lo : i_last - lo + 1] += prev[
+        :, i_first - shift - lo_prev : i_last - shift - lo_prev + 1
+    ]
+
+
+class _ReferenceSweep:
+    """Forward transfer-matrix sweeps for several seed nodes at once.
+
+    Field f holds the path weights from seed f. Only the two most recent
+    layers are retained: stored values are scaled so each field's layer
+    maximum is 1, with true weights equal to stored * exp(logscale[f]).
+    Layers are produced in order tau = 0, 1, ..., 2n-2 by step().
+    """
+
+    def __init__(self, l, seeds, temperature):
+        if temperature <= 0:
+            raise ValueError("temperature must be positive")
+        self.l = l
+        self.n = l.n
+        self.T = float(temperature)
+        self.n_fields = len(seeds)
+        self.seed_by_tau = {}
+        for f, (i, j) in enumerate(seeds):
+            i, j = int(i), int(j)
+            if not (0 <= i < self.n and 0 <= j < self.n):
+                raise InvalidBoundaryError(
+                    f"seed ({i}, {j}) outside the {self.n} x {self.n} lattice"
+                )
+            self.seed_by_tau.setdefault(i + j, []).append((f, i))
+        self.tau = -1
+        self.s1 = None  # stored weights on layer tau, full layer extent
+        self.lo1 = 0
+        self.log1 = np.full(self.n_fields, -np.inf)
+        self.s2 = None  # layer tau - 1
+        self.lo2 = 0
+        self.log2 = np.full(self.n_fields, -np.inf)
+
+    def snapshot(self):
+        return {
+            "tau": self.tau,
+            "s1": None if self.s1 is None else self.s1.copy(),
+            "lo1": self.lo1,
+            "log1": self.log1.copy(),
+            "s2": None if self.s2 is None else self.s2.copy(),
+            "lo2": self.lo2,
+            "log2": self.log2.copy(),
+        }
+
+    def restore(self, snap):
+        self.tau = snap["tau"]
+        self.s1 = None if snap["s1"] is None else snap["s1"].copy()
+        self.lo1 = snap["lo1"]
+        self.log1 = snap["log1"].copy()
+        self.s2 = None if snap["s2"] is None else snap["s2"].copy()
+        self.lo2 = snap["lo2"]
+        self.log2 = snap["log2"].copy()
+
+    def step(self):
+        """Produce the next layer; afterwards s1/log1/lo1 describe it."""
+        tau = self.tau + 1
+        if tau > 2 * self.n - 2:
+            raise EmptyLayerError(tau)
+        lo, hi = layer_bounds(self.n, tau)
+        width = hi - lo + 1
+        eps = self.l.layer(tau)
+        emin = float(eps.min())
+        w = np.exp((emin - eps) / self.T)  # in (0, 1]
+
+        log_max = np.maximum(self.log1, self.log2)
+        active = np.isfinite(log_max)
+        f1 = np.zeros(self.n_fields)
+        f2 = np.zeros(self.n_fields)
+        if active.any():
+            f1[active] = np.exp(self.log1[active] - log_max[active])
+            f2[active] = np.exp(self.log2[active] - log_max[active])
+
+        raw = np.zeros((self.n_fields, width))
+        _accumulate(raw, self.s1, self.lo1, lo, 0)  # predecessor (i, j-1)
+        _accumulate(raw, self.s1, self.lo1, lo, 1)  # predecessor (i-1, j)
+        raw *= f1[:, None]
+        if self.s2 is not None and self.s2.shape[1]:
+            diag = np.zeros((self.n_fields, width))
+            _accumulate(diag, self.s2, self.lo2, lo, 1)  # predecessor (i-1, j-1)
+            diag *= f2[:, None]
+            raw += diag
+        raw *= w[None, :]
+
+        # A field's whole mass at its seed layer is the seed's own weight.
+        log_pre = np.where(active, log_max, 0.0) - emin / self.T
+        for f, i_seed in self.seed_by_tau.get(tau, ()):
+            if not lo <= i_seed <= hi:
+                raise InvalidBoundaryError(
+                    f"seed row {i_seed} not on layer {tau}"
+                )
+            raw[f, i_seed - lo] = w[i_seed - lo]
+
+        peak = raw.max(axis=1)
+        alive = peak > 0
+        stored = np.zeros_like(raw)
+        log_new = np.full(self.n_fields, -np.inf)
+        if alive.any():
+            stored[alive] = raw[alive] / peak[alive, None]
+            log_new[alive] = log_pre[alive] + np.log(peak[alive])
+
+        self.s2, self.lo2, self.log2 = self.s1, self.lo1, self.log1
+        self.s1, self.lo1, self.log1 = stored, lo, log_new
+        self.tau = tau
 
 
 def delannoy_table(m):
@@ -253,3 +376,89 @@ class TestThermalAverage:
         f = forward_weights(l, (0, 0), 1.0)
         with pytest.raises(InvalidBoundaryError):
             thermal_average(l, f, f)
+
+
+def _assert_same_layer(a, b):
+    assert a.tau == b.tau
+    assert a.lo1 == b.lo1
+    assert np.array_equal(a.s1, b.s1)
+    assert np.array_equal(a.log1, b.log1)
+
+
+def _assert_sweep_matches_reference(l, seeds, T):
+    ref = _ReferenceSweep(l, seeds, T)
+    sweep = _StackedSweep(l, seeds, T)
+    for tau in range(2 * l.n - 1):
+        ref.step()
+        sweep.step()
+        _assert_same_layer(sweep, ref)
+        assert np.array_equal(sweep.eps, l.layer(tau))
+
+
+class TestStackedSweepMatchesReference:
+    @pytest.mark.parametrize("T", [2.0, 0.01])
+    def test_several_seeds_on_one_layer(self, T):
+        l = build_landscape(random_pair(3, 12, scale=3.0))
+        _assert_sweep_matches_reference(l, [(2, 0), (1, 1), (0, 2)], T)
+
+    @pytest.mark.parametrize("T", [2.0, 0.01])
+    def test_interior_seeds_and_corners(self, T):
+        n = 15
+        l = build_landscape(random_pair(4, n, scale=3.0))
+        seeds = [(0, 0), (n - 1, n - 1), (0, n - 1), (n - 1, 0), (4, 9), (7, 2)]
+        _assert_sweep_matches_reference(l, seeds, T)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("T", [2.0, 0.01])
+    def test_tiny_lattices(self, n, T):
+        l = build_landscape(random_pair(5, n, scale=3.0))
+        corners = [(0, 0), (n - 1, n - 1), (0, n - 1), (n - 1, 0)]
+        _assert_sweep_matches_reference(l, corners, T)
+
+    @pytest.mark.parametrize("T", [2.0, 0.01])
+    def test_boundary_fan_on_reflected_landscape(self, T):
+        n = 40
+        l = build_landscape(random_pair(6, n, scale=3.0)).reflected()
+        fan = [(i, 0) for i in range(6)] + [(0, i) for i in range(1, 6)]
+        _assert_sweep_matches_reference(l, fan, T)
+
+    @pytest.mark.parametrize("T", [2.0, 0.01])
+    def test_restore_into_dirty_sweep(self, T):
+        n = 20
+        l = build_landscape(random_pair(7, n, scale=3.0))
+        seeds = [(0, 0), (3, 0), (0, 5), (9, 9)]
+        ref = _ReferenceSweep(l, seeds, T)
+        a = _StackedSweep(l, seeds, T)
+        for _ in range(13):
+            ref.step()
+            a.step()
+        snap = a.snapshot()
+        b = _StackedSweep(l, seeds, T)
+        for _ in range(29):
+            b.step()
+        b.restore(snap)
+        _assert_same_layer(b, ref)
+        for _ in range(13, 2 * n - 1):
+            ref.step()
+            a.step()
+            b.step()
+            _assert_same_layer(a, ref)
+            _assert_same_layer(b, a)
+
+    def test_snapshot_holds_layer_extent_copies(self):
+        n = 10
+        l = build_landscape(random_pair(8, n))
+        sweep = _StackedSweep(l, [(0, 0), (1, 0)], 2.0)
+        assert sweep.snapshot()["s1"] is None
+        sweep.step()
+        assert sweep.snapshot()["s2"] is None
+        for _ in range(6):
+            sweep.step()
+        snap = sweep.snapshot()
+        assert snap["s1"].shape == (2, 7)
+        assert snap["s2"].shape == (2, 6)
+        held = snap["s1"].copy()
+        assert np.array_equal(held, sweep.s1)
+        for _ in range(3):  # the third step overwrites the layer's row
+            sweep.step()
+        assert np.array_equal(snap["s1"], held)
