@@ -225,6 +225,9 @@ def _forward_table(l, starts, ends, T):
         num = fwd.s1 @ eps
         alive = den > 0
         q[alive, tau] = num[alive] / den[alive]
+        # A started field that underflowed to zero carries no weight on
+        # this layer or any later one: its pairs score +inf (underflowed).
+        q[~alive & (tau_s <= tau), tau] = np.inf
     csum = np.concatenate(
         [np.zeros((len(starts), 1)), np.cumsum(q, axis=1)], axis=1
     )

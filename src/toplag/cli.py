@@ -107,11 +107,29 @@ def _fmt(v):
     return str(v)
 
 
-def _write_csv(path, header, rows):
+def _column_text(col):
+    """One column's cells as _fmt would write them. Bool, integer and float
+    arrays are formatted in one pass over tolist(); anything else (lists,
+    tuples, str or datetime64 arrays) goes through _fmt one element at a time.
+    """
+    if isinstance(col, np.ndarray):
+        kind = col.dtype.kind
+        if kind == "b":
+            return ["1" if v else "0" for v in col.tolist()]
+        if kind in "iu":
+            return [str(v) for v in col.tolist()]
+        if kind == "f":
+            # .12g already prints nan, inf, -inf and -0 as _fmt does.
+            return [f"{v:.12g}" for v in col.tolist()]
+    return [_fmt(v) for v in col]
+
+
+def _write_csv(path, header, columns):
+    """Write equally long columns under a header row."""
+    cells = [_column_text(c) for c in columns]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines([",".join(row) + "\n" for row in zip(*cells)])
 
 
 def _json_ready(obj):
@@ -144,10 +162,10 @@ def _grid_text(pair):
     """Timestamps of the aligned grid as deterministic strings."""
     grid = pair.grid
     if not np.issubdtype(grid.dtype, np.datetime64):
-        return [str(int(v)) for v in grid]
+        return [str(v) for v in grid.tolist()]
     ns = grid.astype("datetime64[ns]").astype(np.int64)
     unit = "s" if np.all(ns % 1_000_000_000 == 0) else "ns"
-    return [np.datetime_as_string(v, unit=unit) for v in grid]
+    return np.datetime_as_string(grid, unit=unit).tolist()
 
 
 def _load_pair(cfg):
@@ -201,7 +219,7 @@ def _analyze_core(cfg, pair, meta):
             _write_csv(
                 os.path.join(cfg.out_dir, "landscape.csv"),
                 ["i"] + [f"j{j}" for j in range(l.n)],
-                ([i] + list(mat[i]) for i in range(l.n)),
+                [np.arange(l.n)] + list(mat.T),
             )
     except ToplagError as exc:
         _fail("landscape", exc, 4)
@@ -210,7 +228,7 @@ def _analyze_core(cfg, pair, meta):
     try:
         if cfg.temperature == 0:
             path, taus, lags, costs = _hard_result(l)
-            path_rows = zip(taus, lags, path.nodes[:, 0], costs)
+            path_cols = [taus, lags, path.nodes[:, 0], costs]
             result = {
                 "mode": "hard",
                 "temperature": 0.0,
@@ -236,12 +254,12 @@ def _analyze_core(cfg, pair, meta):
             )
             best = selection.best
             taus = best.taus
-            path_rows = zip(
+            path_cols = [
                 taus,
                 best.mean_lag,
                 (taus - best.mean_lag) / 2.0,
                 best.layer_cost,
-            )
+            ]
             table = selection.energy_table
             adm = ~np.isnan(table)
             result = {
@@ -267,18 +285,14 @@ def _analyze_core(cfg, pair, meta):
         _write_csv(
             os.path.join(cfg.out_dir, "path.csv"),
             ["tau", "mean_lag", "t1", "layer_cost"],
-            path_rows,
+            path_cols,
         )
         if cfg.dump_energy_table and selection is not None:
-            labels = [f"{i}:{j}" for i, j in selection.end_nodes]
-            rows = (
-                [f"{i}:{j}"] + list(selection.energy_table[k])
-                for k, (i, j) in enumerate(selection.start_nodes)
-            )
             _write_csv(
                 os.path.join(cfg.out_dir, "energy_table.csv"),
-                ["start"] + labels,
-                rows,
+                ["start"] + [f"{i}:{j}" for i, j in selection.end_nodes],
+                [[f"{i}:{j}" for i, j in selection.start_nodes]]
+                + list(selection.energy_table.T),
             )
     except ToplagError as exc:
         _fail("path-engine", exc, 5)
@@ -289,19 +303,19 @@ def _analyze_core(cfg, pair, meta):
         _write_csv(
             os.path.join(cfg.out_dir, "lag_by_time.csv"),
             ["t", "timestamp", "lag"],
-            ((t, grid_text[t], v) for t, v in zip(t_index, lag_at_t)),
+            [t_index, [grid_text[t] for t in t_index.tolist()], lag_at_t],
         )
         report = run_consistency(pair, t_index, lag_at_t, cfg.window, alpha=cfg.alpha)
         _write_csv(
             os.path.join(cfg.out_dir, f"consistency_w{cfg.window}.csv"),
             ["t_end", "a", "t_stat", "p_value", "significant"],
-            zip(
+            [
                 report.t_end,
                 report.slope,
                 report.t_stat,
                 report.p_value,
                 report.significant,
-            ),
+            ],
         )
         summary = {
             "config": asdict(cfg),
@@ -431,7 +445,7 @@ def cmd_scan_temperature(args):
             "lag_mean_max",
             "runner_up_gap",
         ],
-        rows,
+        list(zip(*rows)),
     )
     return 0
 
@@ -459,12 +473,12 @@ def cmd_synth(args):
     _write_csv(
         os.path.join(args.out, "pair.csv"),
         ["time", "x", "y"],
-        zip(pair.grid, pair.x, pair.y),
+        [pair.grid, pair.x, pair.y],
     )
     _write_csv(
         os.path.join(args.out, "true_lag.csv"),
         ["time", "lag"],
-        zip(pair.grid, lag),
+        [pair.grid, lag],
     )
     return 0
 

@@ -7,8 +7,9 @@ carried-forward, producing the AlignedPair consumed by the lattice machinery.
 """
 
 import csv
+import math
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
@@ -75,22 +76,49 @@ class RawSeries:
         )
 
 
+# datetime64[ns] holds int64 nanoseconds since 1970, the int64 minimum being
+# NaT; these are the first and last microsecond datetimes it can hold.
+_EPOCH = datetime(1970, 1, 1)
+_MICROSECOND = timedelta(microseconds=1)
+_NS_MIN = datetime(1677, 9, 21, 0, 12, 43, 145225)
+_NS_MAX = datetime(2262, 4, 11, 23, 47, 16, 854775)
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
 def _parse_timestamp(text, time_format):
     """One timestamp cell -> (kind, value). Integers stay integers; everything
-    else must be ISO 8601 unless an explicit strptime format is given."""
+    else must be ISO 8601 unless an explicit strptime format is given.
+    Datetimes come back naive in UTC; either kind must fit in 64 bits."""
     text = text.strip()
     if time_format is not None:
         dt = datetime.strptime(text, time_format)
     else:
-        try:
-            return TIME_KIND_INT, int(text)
-        except ValueError:
-            pass
+        # int() rejects any text holding ":", and a failed int() costs more
+        # than the ISO parse, so only texts without one are tried.
+        if ":" not in text:
+            try:
+                t = int(text)
+            except ValueError:
+                pass
+            else:
+                if not _INT64_MIN <= t <= _INT64_MAX:
+                    raise ValueError(f"timestamp {text!r} outside the int64 range")
+                return TIME_KIND_INT, t
         iso = text.replace("Z", "+00:00") if text.endswith("Z") else text
         dt = datetime.fromisoformat(iso)
     if dt.tzinfo is not None:
         dt = dt.astimezone(timezone.utc).replace(tzinfo=None)
-    return TIME_KIND_DATETIME, np.datetime64(dt, "ns")
+    if not _NS_MIN <= dt <= _NS_MAX:
+        raise ValueError(
+            f"timestamp {text!r} outside the datetime64[ns] range "
+            f"{_NS_MIN.isoformat()} to {_NS_MAX.isoformat()}"
+        )
+    return TIME_KIND_DATETIME, dt
+
+
+def _column(fields, col):
+    """Index of a header name; the last one wins when a name repeats."""
+    return len(fields) - 1 - fields[::-1].index(col)
 
 
 def parse_csv(
@@ -103,11 +131,13 @@ def parse_csv(
 ):
     """Read one series from a headered CSV file.
 
-    Rows whose timestamp or value fails to parse (or whose value is not
-    finite) raise MalformedRowError naming the 1-based data row, unless
-    skip_bad_rows is set, in which case they are counted and dropped.
-    Timestamps must be strictly increasing and of one consistent kind
-    (all integers or all datetimes).
+    Header names are matched after stripping surrounding whitespace. Rows
+    whose timestamp or value fails to parse (or whose value is not finite,
+    or whose datetime falls outside 1677-09-21 .. 2262-04-11) raise
+    MalformedRowError naming the 1-based data row, unless skip_bad_rows is
+    set, in which case they are counted and dropped. Blank lines are not
+    data rows. Timestamps must be strictly increasing and of one consistent
+    kind (all integers or all datetimes).
     """
     times = []
     values = []
@@ -115,30 +145,38 @@ def parse_csv(
     skipped = 0
     kind = None
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise EmptySeriesError(f"{path}: no header row")
-        fields = [name.strip() for name in reader.fieldnames]
+        fields = [name.strip() for name in header]
         for col in (time_col, value_col):
             if col not in fields:
                 raise ColumnMissingError(col, path=str(path))
-        for row_no, row in enumerate(reader, start=1):
-            raw_t = row.get(time_col)
-            raw_v = row.get(value_col)
+        ti = _column(fields, time_col)
+        vi = _column(fields, value_col)
+        width = max(ti, vi) + 1
+        row_no = 0
+        for row in reader:
+            if not row:
+                continue
+            row_no += 1
             try:
-                if raw_t is None or raw_v is None:
+                if len(row) < width:
                     raise ValueError("short row")
-                row_kind, t = _parse_timestamp(raw_t, time_format)
+                row_kind, t = _parse_timestamp(row[ti], time_format)
                 if kind is None:
                     kind = row_kind
                 elif row_kind != kind:
                     raise ValueError(
                         f"timestamp kind flipped from {kind} to {row_kind}"
                     )
+                raw_v = row[vi]
                 v = float(raw_v)
-                if not np.isfinite(v):
+                if not math.isfinite(v):
                     raise ValueError(f"non-finite value {raw_v!r}")
-            except ValueError as exc:
+            # astimezone raises OverflowError near year 1 and year 9999
+            except (ValueError, OverflowError) as exc:
                 if skip_bad_rows:
                     skipped += 1
                     continue
@@ -149,7 +187,9 @@ def parse_csv(
     if len(values) < 2:
         raise EmptySeriesError(f"{path}: fewer than two usable rows")
     if kind == TIME_KIND_DATETIME:
-        ts = np.array(times, dtype="datetime64[ns]")
+        # Exact integer nanoseconds; every datetime is in range (checked above).
+        ns = [(dt - _EPOCH) // _MICROSECOND * 1000 for dt in times]
+        ts = np.array(ns, dtype=np.int64).view("datetime64[ns]")
     else:
         ts = np.array(times, dtype=np.int64)
     _check_increasing(ts, row_numbers=kept_rows, path=str(path))

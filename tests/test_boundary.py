@@ -178,6 +178,19 @@ class TestSelectOptimal:
         assert np.isinf(res.energy_table).sum() == res.underflowed
         assert np.isfinite(res.best.energy)
 
+    def test_forward_dead_start_scores_inf(self):
+        # At T = 0.004 some starts' forward fields underflow to zero a few
+        # layers in; their pairs must score +inf, not 0, and never win.
+        l = self._fixture(seed=3, n=24, k=3)
+        res = select_optimal(l, temperature=0.004, depth=8, mode="forward")
+        assert (res.best_start, res.best_end) == ((0, 3), (20, 23))
+        assert res.underflowed == 120
+        assert np.isinf(res.energy_table).sum() == res.underflowed
+        f = forward_weights(l, res.best_start, 0.004)
+        want = thermal_average(l, f, end=res.best_end)
+        assert res.best.energy == pytest.approx(want.energy, rel=1e-12)
+        assert res.best.energy == pytest.approx(0.41183090011496415, rel=1e-15)
+
     def test_invalid_arguments(self):
         l = self._fixture(n=30)
         with pytest.raises(ValueError):

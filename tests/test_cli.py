@@ -2,12 +2,14 @@
 
 import csv
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
-from toplag.cli import main
+from toplag.cli import _grid_text, _write_csv, main
+from toplag.ingest import AlignedPair
 
 
 def run(argv):
@@ -270,3 +272,138 @@ class TestExitCodes:
                 ]
             )
         assert e.value.code == 4
+
+
+# The cell formatter and the row-wise writer as they stood before output
+# went column at a time, kept verbatim as the reference for _write_csv.
+def _reference_fmt(v):
+    """Deterministic 12-significant-digit text for one CSV cell."""
+    if isinstance(v, (bool, np.bool_)):
+        return "1" if v else "0"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        v = float(v)
+        if math.isnan(v):
+            return "nan"
+        if math.isinf(v):
+            return "inf" if v > 0 else "-inf"
+        return f"{v:.12g}"
+    return str(v)
+
+
+def _reference_write_csv(path, header, rows):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_reference_fmt(v) for v in row) + "\n")
+
+
+def _reference_grid_text(pair):
+    """Timestamps of the aligned grid as deterministic strings."""
+    grid = pair.grid
+    if not np.issubdtype(grid.dtype, np.datetime64):
+        return [str(int(v)) for v in grid]
+    ns = grid.astype("datetime64[ns]").astype(np.int64)
+    unit = "s" if np.all(ns % 1_000_000_000 == 0) else "ns"
+    return [np.datetime_as_string(v, unit=unit) for v in grid]
+
+
+_INT64 = np.iinfo(np.int64)
+
+_WRITER_COLUMNS = {
+    "specials": [
+        np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, 1e300, -1e-300,
+                  5e-324, 1.7976931348623157e308, 0.1, 1 / 3, -2.5e-7, 123456789012.5]),
+    ],
+    "negative_nan": [np.array([-np.nan, np.nan])],
+    "float32": [np.array([0.1, np.nan, -np.inf, 3.4e38], dtype=np.float32)],
+    "integers": [
+        np.array([_INT64.min, -1, 0, 1, _INT64.max], dtype=np.int64),
+        np.array([0, 7, 2**64 - 1], dtype=np.uint64)[[0, 1, 2, 2, 1]],
+        np.array([-5, 0, 5, 6, 7], dtype=np.int32),
+    ],
+    "bools": [np.array([True, False, True]), [True, False, np.bool_(True)]],
+    "str_labels": [
+        ["0:0", "0:1", "1:0"],
+        np.array(["2020-01-01T00:00:00", "a", "b"]),
+        np.array([0.5, np.nan, np.inf]),
+    ],
+    "datetimes": [
+        np.array(["2020-01-01T00:00:00", "2020-01-01T00:01:00.5"],
+                 dtype="datetime64[ns]"),
+        np.array(["2017-01-03", "2017-01-04"], dtype="datetime64[s]"),
+    ],
+    "mixed_sweep_rows": list(zip(
+        (0.5, 2, 7.0, -0.0),
+        (0, np.int64(3), 5, np.int64(-1)),
+        (True, np.bool_(False), 1, 0),
+        (float("nan"), float("inf"), np.float64(1e-300), np.float32(2.5)),
+        ("x", np.str_("y"), None, 1e300),
+    )),
+    "empty": [np.empty(0), np.empty(0, dtype=np.int64), []],
+    "two_d_columns": list(np.arange(12.0).reshape(3, 4).T / 7),
+}
+
+
+class TestOutputMatchesReference:
+    """Column-at-a-time output gives the bytes the row-wise writer and the
+    per-element grid formatter gave."""
+
+    @pytest.mark.parametrize("case", sorted(_WRITER_COLUMNS))
+    def test_file_bytes(self, tmp_path, case):
+        columns = _WRITER_COLUMNS[case]
+        header = [f"c{k}" for k in range(len(columns))]
+        _write_csv(tmp_path / "got.csv", header, columns)
+        _reference_write_csv(tmp_path / "want.csv", header, zip(*columns))
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            np.array([3, 5, 8, -2**40], dtype=np.int64)[[3, 0, 1, 2]],
+            np.array(["2017-01-03T09:30", "2017-01-03T09:31"], dtype="datetime64[s]"),
+            np.array(["2017-01-03", "2017-01-04"], dtype="datetime64[D]"),
+            np.array(["2017-01-03T09:30:00", "2017-01-03T09:31:00"],
+                     dtype="datetime64[ns]"),
+            np.array(["1677-09-21T00:12:43.145225", "2017-01-03T09:30:00.000000001",
+                      "2262-04-11T23:47:16.854775807"], dtype="datetime64[ns]"),
+        ],
+        ids=["int", "seconds", "days", "ns_whole_seconds", "ns"],
+    )
+    def test_grid_text(self, grid):
+        pair = AlignedPair(x=np.arange(grid.size, dtype=float),
+                           y=np.ones(grid.size), grid=grid)
+        got = _grid_text(pair)
+        want = _reference_grid_text(pair)
+        assert [type(v) for v in got] == [str] * len(want)
+        assert got == [str(v) for v in want]
+
+
+class TestIngestExitCodes:
+    def _write(self, path, header, stamps):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(header + "\n")
+            fh.writelines(f"{t},{k % 7 * 0.5}\n" for k, t in enumerate(stamps))
+        return str(path)
+
+    def test_out_of_range_timestamp_exits_3(self, tmp_path, capsys):
+        stamps = [f"2262-04-{d:02d}T00:00:00" for d in range(1, 31)]
+        x = self._write(tmp_path / "x.csv", "time,value", stamps)
+        argv = ["analyze", x, x, "--out", str(tmp_path / "o")]
+        with pytest.raises(SystemExit) as e:
+            run(argv)
+        assert e.value.code == 3
+        assert "row 12" in capsys.readouterr().err
+        argv += ["--skip-bad-rows", "--temperature", "0", "--window", "5"]
+        assert run(argv) == 0
+        s = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert s["data"]["x_rows"] == 11 and s["data"]["x_skipped"] == 19
+
+    def test_padded_header_names(self, tmp_path):
+        stamps = list(range(40))
+        x = self._write(tmp_path / "x.csv", "time , value", stamps)
+        assert run(["analyze", x, x, "--out", str(tmp_path / "o")]) == 0
+        s = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert s["data"]["n"] == 40
