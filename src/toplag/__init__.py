@@ -48,13 +48,11 @@ from .ingest import (
 from .landscape import DistanceMode, EnergyLandscape, build_landscape
 from .zerotemp import HardPath, local_mapping, optimal_path
 from .thermal import (
-    RotatedCoord,
     WeightField,
     LagPath,
     forward_weights,
     backward_weights,
     thermal_average,
-    path_energy,
 )
 from .boundary import (
     BoundarySpec,
@@ -105,13 +103,11 @@ __all__ = [
     "HardPath",
     "local_mapping",
     "optimal_path",
-    "RotatedCoord",
     "WeightField",
     "LagPath",
     "forward_weights",
     "backward_weights",
     "thermal_average",
-    "path_energy",
     "BoundarySpec",
     "SelectionResult",
     "enumerate_boundaries",

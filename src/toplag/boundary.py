@@ -18,6 +18,13 @@ The scan dominates runtime at scale and is built around three ideas:
     against the live forward sweep; memory stays near two checkpoint sets
     instead of one full field per boundary node.
 
+One generator, _layers, owns all sweeping: it steps the forward sweep layer
+by layer and, when given ends, runs the backward scout, takes the
+checkpoints and replays each block, handing every layer over as a
+(forward, backward) pair. The score tables and the winner's trajectory only
+do per-layer arithmetic on what it yields; the winner's trajectory is one
+function for both modes.
+
 Stored-scale factors cancel inside each layer's cost ratio, so the matrix
 products need no log bookkeeping; pairs whose products underflow fall back
 to an explicit log-space evaluation of that layer.
@@ -125,104 +132,124 @@ def _block_edges(n_layers, bytes_per_layer, budget):
     return edges
 
 
-def _log_layer_cost(sf_row, sb_row, eps, T):
-    """Mean layer cost for one pair, evaluated in log space.
+def _log_bridge_weights(sf_row, sb_row, eps, T):
+    """One layer's bridge weights for one pair, rebuilt in log space.
 
-    Returns inf when every stored weight in the pair's window is exactly
-    zero: the pair's mass is more than ~700 nats below the field ridge at
-    this layer, unrepresentable in double precision and never competitive.
+    Scaled to a peak of 1; all zero when every stored weight in the pair's
+    window is exactly zero, i.e. the pair's mass is more than ~700 nats
+    below the field ridge at this layer, unrepresentable in double precision.
     """
     with np.errstate(divide="ignore"):
         lw = np.log(sf_row) + np.log(sb_row) + eps / T
     finite = np.isfinite(lw)
     if not finite.any():
-        return float("inf")
-    p = np.exp(lw - lw[finite].max())
-    return float((eps * p).sum() / p.sum())
+        return np.zeros_like(lw)
+    return np.exp(lw - lw[finite].max())
+
+
+def _log_layer_cost(sf_row, sb_row, eps, T):
+    """Mean layer cost for one pair, evaluated in log space.
+
+    Returns inf when the pair's weight underflowed on this layer: such a
+    pair is never competitive.
+    """
+    p = _log_bridge_weights(sf_row, sb_row, eps, T)
+    z = p.sum()
+    return float((eps * p).sum() / z) if z > 0 else float("inf")
+
+
+def _layers(l, starts, T, ends=None, budget=DEFAULT_MEMORY_BUDGET):
+    """Step a stacked forward sweep from starts over every layer.
+
+    Yields (tau, fwd, sb) for tau = 0, 1, ..., 2n-2, with fwd the forward
+    sweep standing on layer tau. With ends, sb is the stacked backward
+    layer tau of the sweeps into those ends, in natural node order; without,
+    sb is None. The backward sweeps run on the reflected landscape: a scout
+    pass stores checkpoints at the replay block edges, and each block is
+    replayed from its checkpoint just before the forward sweep enters it.
+    A consumer that stops early never replays the later blocks.
+    """
+    n = l.n
+    n_layers = 2 * n - 1
+    edges = [0, n_layers]
+    if ends is not None:
+        reflected = l.reflected()
+        seeds = [(n - 1 - i, n - 1 - j) for i, j in ends]
+        edges = _block_edges(n_layers, len(ends) * n * 8, budget)
+        keys = set(edges[1:-1])
+        snaps = {}
+        if keys:
+            scout = _StackedSweep(reflected, seeds, T)
+            for tau_nat in range(n_layers - 1, edges[1] - 1, -1):
+                scout.step()
+                if tau_nat in keys:
+                    snaps[tau_nat] = scout.snapshot()
+            del scout
+
+    fwd = _StackedSweep(l, list(starts), T)
+    for b0, b1 in zip(edges, edges[1:]):
+        buf = [None] * (b1 - b0)  # popped from the end: layer b0 first
+        if ends is not None:
+            rep = _StackedSweep(reflected, seeds, T)
+            if b1 < n_layers:
+                rep.restore(snaps.pop(b1))
+            for k in range(b1 - b0):
+                rep.step()
+                buf[k] = rep.s1[:, ::-1].copy()
+            del rep
+        for tau in range(b0, b1):
+            fwd.step()
+            yield tau, fwd, buf.pop()
+
+
+def _mean_table(sums, adm, tau_s, tau_e):
+    """Summed layer costs over each admissible pair's layer count; NaN elsewhere."""
+    lengths = tau_e[None, :] - tau_s[:, None] + 1
+    with np.errstate(invalid="ignore"):
+        table = np.where(adm, sums / lengths, np.nan)
+    return table, adm
 
 
 def _bridge_table(l, starts, ends, T, budget):
     """Mean per-layer cost of every admissible (start, end) bridge."""
-    n = l.n
-    n_layers = 2 * n - 1
     adm, tau_s, tau_e = _admissibility(starts, ends)
-    reflected = l.reflected()
-    bwd_seeds = [(n - 1 - i, n - 1 - j) for i, j in ends]
-
-    edges = _block_edges(n_layers, len(ends) * n * 8, budget)
-    keys = set(edges[1:-1])
-    snaps = {}
-    if keys:
-        lowest = min(keys)
-        scout = _StackedSweep(reflected, bwd_seeds, T)
-        for tau_r in range(n_layers):
-            scout.step()
-            tau_nat = n_layers - 1 - tau_r
-            if tau_nat in keys:
-                snaps[tau_nat] = scout.snapshot()
-                if tau_nat == lowest:
-                    break
-        del scout
-
     # Between the last start layer and the first end layer every admissible
     # pair is live.
     all_live_lo, all_live_hi = int(tau_s.max()), int(tau_e.min())
     esum = np.zeros((len(starts), len(ends)))
-    fwd = _StackedSweep(l, list(starts), T)
-    for k in range(len(edges) - 1):
-        b0, b1 = edges[k], edges[k + 1] - 1
-        rep = _StackedSweep(reflected, bwd_seeds, T)
-        if edges[k + 1] < n_layers:
-            rep.restore(snaps.pop(edges[k + 1]))
-        buf = {}
-        for tau_nat in range(b1, b0 - 1, -1):
-            rep.step()
-            buf[tau_nat] = rep.s1[:, ::-1].copy()
-        del rep
-        for tau in range(b0, b1 + 1):
-            fwd.step()
-            sb = buf.pop(tau)
-            if all_live_lo <= tau <= all_live_hi:
-                live = adm
-            else:
-                live = (tau_s <= tau)[:, None] & (tau <= tau_e)[None, :] & adm
-                if not live.any():
-                    continue
-            eps = fwd.eps
-            emax = float(eps.max())
-            u = np.exp((eps - emax) / T)  # bridge weight carries exp(+eps/T)
-            fu = fwd.s1 * u[None, :]
-            den = fu @ sb.T
-            num = (fu * eps[None, :]) @ sb.T
-            with np.errstate(invalid="ignore", divide="ignore"):
-                ratio = num / den
-            good = live & (den > 0) & np.isfinite(ratio)
-            np.add(esum, ratio, out=esum, where=good)
-            if good.all():
+    for tau, fwd, sb in _layers(l, starts, T, ends, budget):
+        if all_live_lo <= tau <= all_live_hi:
+            live = adm
+        else:
+            live = (tau_s <= tau)[:, None] & (tau <= tau_e)[None, :] & adm
+            if not live.any():
                 continue
-            for s_idx, e_idx in zip(*np.nonzero(live & ~good)):
-                if np.isinf(esum[s_idx, e_idx]):
-                    continue
-                esum[s_idx, e_idx] += _log_layer_cost(
-                    fwd.s1[s_idx], sb[e_idx], eps, T
-                )
-    lengths = tau_e[None, :] - tau_s[:, None] + 1
-    with np.errstate(invalid="ignore"):
-        table = np.where(adm, esum / lengths, np.nan)
-    return table, adm
+        eps = fwd.eps
+        emax = float(eps.max())
+        u = np.exp((eps - emax) / T)  # bridge weight carries exp(+eps/T)
+        fu = fwd.s1 * u[None, :]
+        den = fu @ sb.T
+        num = (fu * eps[None, :]) @ sb.T
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ratio = num / den
+        good = live & (den > 0) & np.isfinite(ratio)
+        np.add(esum, ratio, out=esum, where=good)
+        if good.all():
+            continue
+        for s_idx, e_idx in zip(*np.nonzero(live & ~good)):
+            if np.isinf(esum[s_idx, e_idx]):
+                continue
+            esum[s_idx, e_idx] += _log_layer_cost(fwd.s1[s_idx], sb[e_idx], eps, T)
+    return _mean_table(esum, adm, tau_s, tau_e)
 
 
 def _forward_table(l, starts, ends, T):
     """Mean per-layer cost under forward-only weights, per (start, end)."""
-    n_layers = 2 * l.n - 1
     adm, tau_s, tau_e = _admissibility(starts, ends)
-    fwd = _StackedSweep(l, list(starts), T)
-    q = np.zeros((len(starts), n_layers))
-    for tau in range(n_layers):
-        fwd.step()
-        eps = fwd.eps
+    q = np.zeros((len(starts), 2 * l.n - 1))
+    for tau, fwd, _ in _layers(l, starts, T):
         den = fwd.s1.sum(axis=1)
-        num = fwd.s1 @ eps
+        num = fwd.s1 @ fwd.eps
         alive = den > 0
         q[alive, tau] = num[alive] / den[alive]
         # A started field that underflowed to zero carries no weight on
@@ -232,76 +259,40 @@ def _forward_table(l, starts, ends, T):
         [np.zeros((len(starts), 1)), np.cumsum(q, axis=1)], axis=1
     )
     sums = csum[:, tau_e + 1] - csum[np.arange(len(starts)), tau_s][:, None]
-    lengths = tau_e[None, :] - tau_s[:, None] + 1
-    with np.errstate(invalid="ignore"):
-        table = np.where(adm, sums / lengths, np.nan)
-    return table, adm
+    return _mean_table(sums, adm, tau_s, tau_e)
 
 
-def _bridge_pair_path(l, start, end, T, budget):
-    """Full per-layer statistics for one (start, end) bridge, streamed."""
+def _bridge_pair_path(l, start, end, T, budget, mode="bridge"):
+    """Full per-layer statistics for the winning (start, end) pair, streamed.
+
+    Serves both modes; only the layer weights and the log partition differ.
+    Bridge weights come from the forward and backward sweeps; forward
+    weights from the forward sweep alone, truncated at the end's layer. The
+    name predates the forward mode; perfbench/spans.py traces it by name.
+    """
     n = l.n
-    si, sj = start
-    ei, ej = end
-    tau_0, tau_end = si + sj, ei + ej
-    n_layers = 2 * n - 1
-    reflected = l.reflected()
-    seed_b = [(n - 1 - ei, n - 1 - ej)]
-
-    edges = _block_edges(n_layers, n * 8, budget)
-    keys = set(edges[1:-1])
-    snaps = {}
-    if keys:
-        lowest = min(keys)
-        scout = _StackedSweep(reflected, seed_b, T)
-        for tau_r in range(n_layers):
-            scout.step()
-            tau_nat = n_layers - 1 - tau_r
-            if tau_nat in keys:
-                snaps[tau_nat] = scout.snapshot()
-                if tau_nat == lowest:
-                    break
-        del scout
-
+    bridge = mode == "bridge"
+    tau_0, tau_end = sum(start), sum(end)
     taus = np.arange(tau_0, tau_end + 1)
     mean = np.zeros(taus.size)
     cost = np.zeros(taus.size)
-    log_partition = -np.inf
-    fwd = _StackedSweep(l, [start], T)
-    for k in range(len(edges) - 1):
-        b0, b1 = edges[k], edges[k + 1] - 1
-        rep = _StackedSweep(reflected, seed_b, T)
-        if edges[k + 1] < n_layers:
-            rep.restore(snaps.pop(edges[k + 1]))
-        buf = {}
-        for tau_nat in range(b1, b0 - 1, -1):
-            rep.step()
-            buf[tau_nat] = rep.s1[0, ::-1].copy()
-        del rep
-        for tau in range(b0, min(b1, tau_end) + 1):
-            fwd.step()
-            sb = buf.pop(tau, None)
-            if not tau_0 <= tau <= tau_end:
-                continue
-            sf = fwd.s1[0]
-            eps = fwd.eps
-            with np.errstate(divide="ignore"):
-                lw = np.log(sf) + np.log(sb) + eps / T
-            finite = np.isfinite(lw)
-            if not finite.any():
-                raise EmptyLayerError(tau)
-            p = np.exp(lw - lw[finite].max())
-            z = p.sum()
-            x = layer_lags(n, tau)
-            idx = tau - tau_0
-            mean[idx] = float((x * p).sum() / z)
-            cost[idx] = float((eps * p).sum() / z)
-            if tau == tau_end:
-                lo, _ = layer_bounds(n, tau)
-                v = sf[ei - lo]
-                if v > 0:
-                    log_partition = float(np.log(v) + fwd.log1[0])
-        if b1 >= tau_end:
+    for tau, fwd, sb in _layers(l, [start], T, [end] if bridge else None, budget):
+        if tau < tau_0:
+            continue
+        sf = fwd.s1[0]
+        eps = fwd.eps
+        p = _log_bridge_weights(sf, sb[0], eps, T) if bridge else sf
+        z = p.sum()
+        if not z > 0:
+            raise EmptyLayerError(tau)
+        x = layer_lags(n, tau)
+        idx = tau - tau_0
+        mean[idx] = float((x * p).sum() / z)
+        cost[idx] = float((eps * p).sum() / z)
+        if tau == tau_end:
+            # Paths into the end node (bridge) or onto its layer (forward).
+            v = sf[end[0] - layer_bounds(n, tau)[0]] if bridge else z
+            log_partition = float(np.log(v) + fwd.log1[0]) if v > 0 else -np.inf
             break
     return LagPath(
         taus=taus,
@@ -310,46 +301,7 @@ def _bridge_pair_path(l, start, end, T, budget):
         energy=float(np.mean(cost)),
         log_partition=log_partition,
         temperature=T,
-        mode="bridge",
-        start=tuple(start),
-        end=tuple(end),
-    )
-
-
-def _forward_pair_path(l, start, end, T):
-    """Per-layer statistics under forward-only weights, truncated at end."""
-    n = l.n
-    si, sj = start
-    tau_0 = si + sj
-    tau_end = end[0] + end[1]
-    taus = np.arange(tau_0, tau_end + 1)
-    mean = np.zeros(taus.size)
-    cost = np.zeros(taus.size)
-    log_partition = -np.inf
-    fwd = _StackedSweep(l, [start], T)
-    for tau in range(tau_end + 1):
-        fwd.step()
-        if tau < tau_0:
-            continue
-        sf = fwd.s1[0]
-        z = sf.sum()
-        if not z > 0:
-            raise EmptyLayerError(tau)
-        eps = fwd.eps
-        x = layer_lags(n, tau)
-        idx = tau - tau_0
-        mean[idx] = float((x * sf).sum() / z)
-        cost[idx] = float((eps * sf).sum() / z)
-        if tau == tau_end:
-            log_partition = float(np.log(z) + fwd.log1[0])
-    return LagPath(
-        taus=taus,
-        mean_lag=mean,
-        layer_cost=cost,
-        energy=float(np.mean(cost)),
-        log_partition=log_partition,
-        temperature=T,
-        mode="forward",
+        mode=mode,
         start=tuple(start),
         end=tuple(end),
     )
@@ -385,29 +337,22 @@ def select_optimal(
     else:
         table, adm = _forward_table(l, starts, ends, T)
 
-    best_val = np.inf
-    best_pair = None
-    for s_idx in range(len(starts)):
-        for e_idx in range(len(ends)):
-            if adm[s_idx, e_idx] and table[s_idx, e_idx] < best_val:
-                best_val = table[s_idx, e_idx]
-                best_pair = (s_idx, e_idx)
-    if best_pair is None:
-        if adm.any():
-            raise NoAdmissiblePairError(
-                "every admissible pair's bridge weight underflowed; "
-                "raise the temperature or shrink the boundary depth"
-            )
+    if not adm.any():
         raise NoAdmissiblePairError()
-    s_idx, e_idx = best_pair
+    # The first minimum in row-major order wins: ties go to the lower start,
+    # then the lower end.
+    best = int(np.argmin(np.where(adm, table, np.inf)))
+    s_idx, e_idx = divmod(best, len(ends))
+    if not table[s_idx, e_idx] < np.inf:
+        raise NoAdmissiblePairError(
+            f"every admissible pair's {mode} weight underflowed; "
+            "raise the temperature or shrink the boundary depth"
+        )
 
     vals = np.sort(table[adm])
     gap = float(vals[1] - vals[0]) if vals.size > 1 else float("nan")
 
-    if mode == "bridge":
-        path = _bridge_pair_path(l, starts[s_idx], ends[e_idx], T, memory_budget)
-    else:
-        path = _forward_pair_path(l, starts[s_idx], ends[e_idx], T)
+    path = _bridge_pair_path(l, starts[s_idx], ends[e_idx], T, memory_budget, mode)
     # The table entry is the authoritative score; the per-layer recomputation
     # agrees to rounding but would not compare exactly equal.
     path.energy = float(table[s_idx, e_idx])

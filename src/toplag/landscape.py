@@ -144,18 +144,13 @@ class EnergyLandscape:
         return EnergyLandscape(self.x[::-1].copy(), self.y[::-1].copy(), self.mode)
 
 
-def build_landscape(pair, mode=DistanceMode.COMONOTONIC, materialize=None):
+def build_landscape(pair, mode=DistanceMode.COMONOTONIC):
     """Build the mismatch landscape for an aligned pair.
 
-    pair may be an AlignedPair or any object with 1-d .x and .y arrays.
-    materialize forces (True) or suppresses (False) keeping the dense matrix;
-    by default it is kept for lattices up to MATERIALIZE_LIMIT.
+    pair may be an AlignedPair or any object with 1-d .x and .y arrays. The
+    dense matrix is kept for lattices up to MATERIALIZE_LIMIT.
     """
     l = EnergyLandscape(np.asarray(pair.x), np.asarray(pair.y), mode)
-    if materialize is None:
-        materialize = l.n <= MATERIALIZE_LIMIT
-    if materialize:
-        if l.n > MATERIALIZE_LIMIT:
-            raise LatticeTooLargeError(l.n, MATERIALIZE_LIMIT)
+    if l.n <= MATERIALIZE_LIMIT:
         l.eps = l._combine(l.x[:, None], l.y[None, :])
     return l

@@ -36,23 +36,6 @@ FORWARD = "forward"
 BACKWARD = "backward"
 
 
-@dataclass(frozen=True)
-class RotatedCoord:
-    """Lattice node in sweep coordinates: layer tau = i + j, lag x = j - i."""
-
-    tau: int
-    x: int
-
-    @classmethod
-    def from_node(cls, i, j):
-        return cls(tau=int(i) + int(j), x=int(j) - int(i))
-
-    def to_node(self):
-        if (self.tau + self.x) % 2:
-            raise ValueError(f"(tau={self.tau}, x={self.x}) is not a lattice node")
-        return ((self.tau - self.x) // 2, (self.tau + self.x) // 2)
-
-
 class _StackedSweep:
     """Forward transfer-matrix sweeps for several seed nodes at once.
 
@@ -424,7 +407,3 @@ def thermal_average(l, forward, backward=None, end=None):
         end=end,
     )
 
-
-def path_energy(l, forward, backward=None, end=None):
-    """Mean per-layer thermal cost over the path's layer range."""
-    return thermal_average(l, forward, backward=backward, end=end).energy

@@ -1,19 +1,29 @@
 """Boundary fan enumeration and the grid search over anchor pairs."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from toplag import boundary
 from toplag.boundary import (
     BoundarySpec,
+    _admissibility,
+    _block_edges,
     enumerate_boundaries,
     select_optimal,
 )
-from toplag.errors import DepthTooLargeError, NoAdmissiblePairError
+from toplag.errors import DepthTooLargeError, EmptyLayerError, NoAdmissiblePairError
 from toplag.ingest import AlignedPair
-from toplag.landscape import build_landscape
+from toplag.landscape import build_landscape, layer_bounds, layer_lags
 from toplag.synth import LagScenario, brute_force_thermal, generate
-from toplag.thermal import backward_weights, forward_weights, thermal_average
+from toplag.thermal import (
+    _StackedSweep,
+    backward_weights,
+    forward_weights,
+    thermal_average,
+)
 
 from conftest import random_pair
 from test_thermal import _ReferenceSweep
@@ -191,6 +201,17 @@ class TestSelectOptimal:
         assert res.best.energy == pytest.approx(want.energy, rel=1e-12)
         assert res.best.energy == pytest.approx(0.41183090011496415, rel=1e-15)
 
+    @pytest.mark.parametrize("mode", ["bridge", "forward"])
+    def test_all_underflowed_refusal_names_the_mode(self, mode):
+        # At T = 0.004 every pair of this fixture underflows in both modes.
+        l = self._fixture(seed=3, n=40, k=3)
+        with pytest.raises(NoAdmissiblePairError) as err:
+            select_optimal(l, temperature=0.004, depth=8, mode=mode)
+        assert str(err.value) == (
+            f"every admissible pair's {mode} weight underflowed; "
+            "raise the temperature or shrink the boundary depth"
+        )
+
     def test_invalid_arguments(self):
         l = self._fixture(n=30)
         with pytest.raises(ValueError):
@@ -267,3 +288,352 @@ class TestScanMatchesReferenceSweep:
             monkeypatch, l, temperature=0.01, depth=10, memory_budget=36480
         )
         assert res.underflowed > 0
+
+
+# Reference scan: the score tables, winner paths and pair selection as they
+# were written before the sweeping moved into one layer generator, each with
+# its own scout, checkpoint and replay. select_optimal must reproduce their
+# results byte for byte.
+def _ref_log_layer_cost(sf_row, sb_row, eps, T):
+    with np.errstate(divide="ignore"):
+        lw = np.log(sf_row) + np.log(sb_row) + eps / T
+    finite = np.isfinite(lw)
+    if not finite.any():
+        return float("inf")
+    p = np.exp(lw - lw[finite].max())
+    return float((eps * p).sum() / p.sum())
+
+
+def _ref_bridge_table(l, starts, ends, T, budget):
+    n = l.n
+    n_layers = 2 * n - 1
+    adm, tau_s, tau_e = _admissibility(starts, ends)
+    reflected = l.reflected()
+    bwd_seeds = [(n - 1 - i, n - 1 - j) for i, j in ends]
+
+    edges = _block_edges(n_layers, len(ends) * n * 8, budget)
+    keys = set(edges[1:-1])
+    snaps = {}
+    if keys:
+        lowest = min(keys)
+        scout = _StackedSweep(reflected, bwd_seeds, T)
+        for tau_r in range(n_layers):
+            scout.step()
+            tau_nat = n_layers - 1 - tau_r
+            if tau_nat in keys:
+                snaps[tau_nat] = scout.snapshot()
+                if tau_nat == lowest:
+                    break
+        del scout
+
+    all_live_lo, all_live_hi = int(tau_s.max()), int(tau_e.min())
+    esum = np.zeros((len(starts), len(ends)))
+    fwd = _StackedSweep(l, list(starts), T)
+    for k in range(len(edges) - 1):
+        b0, b1 = edges[k], edges[k + 1] - 1
+        rep = _StackedSweep(reflected, bwd_seeds, T)
+        if edges[k + 1] < n_layers:
+            rep.restore(snaps.pop(edges[k + 1]))
+        buf = {}
+        for tau_nat in range(b1, b0 - 1, -1):
+            rep.step()
+            buf[tau_nat] = rep.s1[:, ::-1].copy()
+        del rep
+        for tau in range(b0, b1 + 1):
+            fwd.step()
+            sb = buf.pop(tau)
+            if all_live_lo <= tau <= all_live_hi:
+                live = adm
+            else:
+                live = (tau_s <= tau)[:, None] & (tau <= tau_e)[None, :] & adm
+                if not live.any():
+                    continue
+            eps = fwd.eps
+            emax = float(eps.max())
+            u = np.exp((eps - emax) / T)
+            fu = fwd.s1 * u[None, :]
+            den = fu @ sb.T
+            num = (fu * eps[None, :]) @ sb.T
+            with np.errstate(invalid="ignore", divide="ignore"):
+                ratio = num / den
+            good = live & (den > 0) & np.isfinite(ratio)
+            np.add(esum, ratio, out=esum, where=good)
+            if good.all():
+                continue
+            for s_idx, e_idx in zip(*np.nonzero(live & ~good)):
+                if np.isinf(esum[s_idx, e_idx]):
+                    continue
+                esum[s_idx, e_idx] += _ref_log_layer_cost(
+                    fwd.s1[s_idx], sb[e_idx], eps, T
+                )
+    lengths = tau_e[None, :] - tau_s[:, None] + 1
+    with np.errstate(invalid="ignore"):
+        table = np.where(adm, esum / lengths, np.nan)
+    return table, adm
+
+
+def _ref_forward_table(l, starts, ends, T):
+    n_layers = 2 * l.n - 1
+    adm, tau_s, tau_e = _admissibility(starts, ends)
+    fwd = _StackedSweep(l, list(starts), T)
+    q = np.zeros((len(starts), n_layers))
+    for tau in range(n_layers):
+        fwd.step()
+        eps = fwd.eps
+        den = fwd.s1.sum(axis=1)
+        num = fwd.s1 @ eps
+        alive = den > 0
+        q[alive, tau] = num[alive] / den[alive]
+        q[~alive & (tau_s <= tau), tau] = np.inf
+    csum = np.concatenate(
+        [np.zeros((len(starts), 1)), np.cumsum(q, axis=1)], axis=1
+    )
+    sums = csum[:, tau_e + 1] - csum[np.arange(len(starts)), tau_s][:, None]
+    lengths = tau_e[None, :] - tau_s[:, None] + 1
+    with np.errstate(invalid="ignore"):
+        table = np.where(adm, sums / lengths, np.nan)
+    return table, adm
+
+
+def _ref_bridge_pair_path(l, start, end, T, budget):
+    n = l.n
+    si, sj = start
+    ei, ej = end
+    tau_0, tau_end = si + sj, ei + ej
+    n_layers = 2 * n - 1
+    reflected = l.reflected()
+    seed_b = [(n - 1 - ei, n - 1 - ej)]
+
+    edges = _block_edges(n_layers, n * 8, budget)
+    keys = set(edges[1:-1])
+    snaps = {}
+    if keys:
+        lowest = min(keys)
+        scout = _StackedSweep(reflected, seed_b, T)
+        for tau_r in range(n_layers):
+            scout.step()
+            tau_nat = n_layers - 1 - tau_r
+            if tau_nat in keys:
+                snaps[tau_nat] = scout.snapshot()
+                if tau_nat == lowest:
+                    break
+        del scout
+
+    taus = np.arange(tau_0, tau_end + 1)
+    mean = np.zeros(taus.size)
+    cost = np.zeros(taus.size)
+    log_partition = -np.inf
+    fwd = _StackedSweep(l, [start], T)
+    for k in range(len(edges) - 1):
+        b0, b1 = edges[k], edges[k + 1] - 1
+        rep = _StackedSweep(reflected, seed_b, T)
+        if edges[k + 1] < n_layers:
+            rep.restore(snaps.pop(edges[k + 1]))
+        buf = {}
+        for tau_nat in range(b1, b0 - 1, -1):
+            rep.step()
+            buf[tau_nat] = rep.s1[0, ::-1].copy()
+        del rep
+        for tau in range(b0, min(b1, tau_end) + 1):
+            fwd.step()
+            sb = buf.pop(tau, None)
+            if not tau_0 <= tau <= tau_end:
+                continue
+            sf = fwd.s1[0]
+            eps = fwd.eps
+            with np.errstate(divide="ignore"):
+                lw = np.log(sf) + np.log(sb) + eps / T
+            finite = np.isfinite(lw)
+            if not finite.any():
+                raise EmptyLayerError(tau)
+            p = np.exp(lw - lw[finite].max())
+            z = p.sum()
+            x = layer_lags(n, tau)
+            idx = tau - tau_0
+            mean[idx] = float((x * p).sum() / z)
+            cost[idx] = float((eps * p).sum() / z)
+            if tau == tau_end:
+                lo, _ = layer_bounds(n, tau)
+                v = sf[ei - lo]
+                if v > 0:
+                    log_partition = float(np.log(v) + fwd.log1[0])
+        if b1 >= tau_end:
+            break
+    return taus, mean, cost, log_partition
+
+
+def _ref_forward_pair_path(l, start, end, T):
+    n = l.n
+    si, sj = start
+    tau_0 = si + sj
+    tau_end = end[0] + end[1]
+    taus = np.arange(tau_0, tau_end + 1)
+    mean = np.zeros(taus.size)
+    cost = np.zeros(taus.size)
+    log_partition = -np.inf
+    fwd = _StackedSweep(l, [start], T)
+    for tau in range(tau_end + 1):
+        fwd.step()
+        if tau < tau_0:
+            continue
+        sf = fwd.s1[0]
+        z = sf.sum()
+        if not z > 0:
+            raise EmptyLayerError(tau)
+        eps = fwd.eps
+        x = layer_lags(n, tau)
+        idx = tau - tau_0
+        mean[idx] = float((x * sf).sum() / z)
+        cost[idx] = float((eps * sf).sum() / z)
+        if tau == tau_end:
+            log_partition = float(np.log(z) + fwd.log1[0])
+    return taus, mean, cost, log_partition
+
+
+def _ref_select(l, T, mode, depth, budget):
+    """The reference scan's result, in the layout of _scan_bytes."""
+    spec = enumerate_boundaries(l.n, depth)
+    starts = tuple(tuple(map(int, s)) for s in spec.start_nodes)
+    ends = tuple(tuple(map(int, e)) for e in spec.end_nodes)
+    if mode == "bridge":
+        table, adm = _ref_bridge_table(l, starts, ends, T, budget)
+    else:
+        table, adm = _ref_forward_table(l, starts, ends, T)
+    best_val = np.inf
+    best_pair = None
+    for s_idx in range(len(starts)):
+        for e_idx in range(len(ends)):
+            if adm[s_idx, e_idx] and table[s_idx, e_idx] < best_val:
+                best_val = table[s_idx, e_idx]
+                best_pair = (s_idx, e_idx)
+    s_idx, e_idx = best_pair
+    vals = np.sort(table[adm])
+    gap = float(vals[1] - vals[0]) if vals.size > 1 else float("nan")
+    if mode == "bridge":
+        taus, mean, cost, log_z = _ref_bridge_pair_path(
+            l, starts[s_idx], ends[e_idx], T, budget
+        )
+    else:
+        taus, mean, cost, log_z = _ref_forward_pair_path(
+            l, starts[s_idx], ends[e_idx], T
+        )
+    return (
+        table.tobytes(),
+        taus.tobytes(),
+        mean.tobytes(),
+        cost.tobytes(),
+        repr(float(table[s_idx, e_idx])),
+        repr(log_z),
+        starts[s_idx],
+        ends[e_idx],
+        repr(gap),
+        int(adm.size - np.count_nonzero(adm)),
+        int(np.count_nonzero(np.isinf(table[adm]))),
+    )
+
+
+def _scan_bytes(res):
+    p = res.best
+    return (
+        res.energy_table.tobytes(),
+        p.taus.tobytes(),
+        p.mean_lag.tobytes(),
+        p.layer_cost.tobytes(),
+        repr(p.energy),
+        repr(p.log_partition),
+        res.best_start,
+        res.best_end,
+        repr(res.runner_up_gap),
+        res.inadmissible,
+        res.underflowed,
+    )
+
+
+def _scan_counts():
+    """perfbench/counts.py, the benchmark's step and block predictions."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "counts.py"
+    spec = importlib.util.spec_from_file_location("perfbench_counts", path)
+    counts = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(counts)
+    return counts.scan_counts
+
+
+class _CountingSweep(_StackedSweep):
+    """_StackedSweep that logs every step and snapshot it takes."""
+
+    log = []
+
+    def step(self):
+        super().step()
+        self.log.append(("step", self.n_fields, self.l, self.tau))
+
+    def snapshot(self):
+        self.log.append(("snapshot", self.n_fields, self.l, self.tau))
+        return super().snapshot()
+
+
+class TestScanMatchesParentScan:
+    """select_optimal against the reference scan above, and the sweep work
+    the shared layer generator does."""
+
+    _fixture = TestSelectOptimal._fixture
+
+    def _compare(self, l, temperature, mode, depth, memory_budget):
+        got = select_optimal(
+            l, temperature=temperature, mode=mode, depth=depth,
+            memory_budget=memory_budget,
+        )
+        want = _ref_select(l, temperature, mode, depth, memory_budget)
+        assert _scan_bytes(got) == want
+        return got
+
+    @pytest.mark.parametrize("mode", ["bridge", "forward"])
+    def test_one_replay_block(self, mode):
+        l = self._fixture(seed=13, n=80)
+        self._compare(l, 2.0, mode, 6, boundary.DEFAULT_MEMORY_BUDGET)
+
+    @pytest.mark.parametrize("mode", ["bridge", "forward"])
+    def test_several_replay_blocks(self, mode):
+        l = self._fixture(seed=13, n=80)
+        self._compare(l, 0.5, mode, 6, 80 * 11 * 8 * 4)
+
+    @pytest.mark.parametrize("mode", ["bridge", "forward"])
+    def test_cold_scan_with_underflow_fallbacks(self, mode):
+        l = self._fixture(seed=0, n=60)
+        res = self._compare(l, 0.01, mode, 10, 36480)
+        assert res.underflowed > 0
+
+    @pytest.mark.parametrize("budget", [2_000_000_000, 80 * 11 * 8 * 4])
+    def test_sweep_work_matches_prediction(self, monkeypatch, budget):
+        n, depth, T = 80, 6, 2.0
+        l = self._fixture(seed=13, n=n)
+        monkeypatch.setattr(boundary, "_StackedSweep", _CountingSweep)
+        monkeypatch.setattr(_CountingSweep, "log", [])
+        res = select_optimal(l, temperature=T, depth=depth, memory_budget=budget)
+        log = _CountingSweep.log
+        fields = 2 * depth - 1
+
+        def count(kind, n_fields, backward):
+            # Backward sweeps run on the reflected landscape, not on l.
+            return sum(
+                1 for e in log
+                if e[0] == kind and e[1] == n_fields and (e[2] is not l) == backward
+            )
+
+        want = _scan_counts()(n, depth, budget)
+        n_layers = 2 * n - 1
+        assert count("step", fields, False) == want["table_steps_forward"] == n_layers
+        assert count("step", fields, True) == want["table_steps_backward"]
+        assert count("snapshot", fields, True) == want["replay_blocks"] - 1
+        assert count("snapshot", fields, False) == 0
+
+        # The winner's forward sweep stops on its end layer, and its backward
+        # replay ends with the block that holds that layer.
+        tau_end = sum(res.best_end)
+        fwd_taus = [e[3] for e in log if e[0] == "step" and e[1] == 1 and e[2] is l]
+        assert fwd_taus == list(range(tau_end + 1))
+        edges = boundary._block_edges(n_layers, n * 8, budget)
+        scout = n_layers - edges[1] if len(edges) > 2 else 0
+        last = min(e for e in edges if e > tau_end)
+        assert count("step", 1, True) == scout + last
+        assert count("snapshot", 1, True) == len(edges) - 2

@@ -140,8 +140,8 @@ class TestAccessors:
 
     def test_on_demand_matches_materialized(self):
         pair = random_pair(6, 10)
-        dense = build_landscape(pair, materialize=True)
-        lazy = build_landscape(pair, materialize=False)
+        dense = build_landscape(pair)
+        lazy = EnergyLandscape(pair.x, pair.y, DistanceMode.COMONOTONIC)
         assert dense.eps is not None and lazy.eps is None
         for tau in range(2 * 10 - 1):
             assert np.array_equal(dense.layer(tau), lazy.layer(tau))

@@ -14,11 +14,9 @@ from toplag.ingest import AlignedPair
 from toplag.landscape import build_landscape, layer_bounds
 from toplag.synth import LagScenario, brute_force_thermal, generate
 from toplag.thermal import (
-    RotatedCoord,
     _StackedSweep,
     backward_weights,
     forward_weights,
-    path_energy,
     thermal_average,
 )
 from toplag.zerotemp import optimal_path
@@ -156,22 +154,6 @@ def delannoy_table(m):
         for j in range(1, m):
             d[i, j] = d[i - 1, j] + d[i, j - 1] + d[i - 1, j - 1]
     return d
-
-
-class TestRotatedCoord:
-    def test_round_trip(self):
-        c = RotatedCoord.from_node(3, 7)
-        assert (c.tau, c.x) == (10, 4)
-        assert c.to_node() == (3, 7)
-
-    def test_parity_enforced_on_conversion(self):
-        with pytest.raises(ValueError):
-            RotatedCoord(tau=3, x=0).to_node()
-
-    def test_lag_sign_convention(self):
-        # second-coordinate lead means positive lag
-        assert RotatedCoord.from_node(0, 4).x == 4
-        assert RotatedCoord.from_node(4, 0).x == -4
 
 
 class TestForwardWeights:
@@ -362,13 +344,6 @@ class TestThermalAverage:
         assert f.node_log_weight(18, 19) == pytest.approx(
             b.node_log_weight(0, 1), abs=1e-9
         )
-
-    def test_path_energy_equals_average_energy(self):
-        pair = random_pair(16, 15)
-        l = build_landscape(pair)
-        f = forward_weights(l, (0, 0), 1.0)
-        b = backward_weights(l, (14, 14), 1.0)
-        assert path_energy(l, f, b) == thermal_average(l, f, b).energy
 
     def test_mismatched_fields_rejected(self):
         pair = random_pair(17, 10)

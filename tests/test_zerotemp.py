@@ -5,7 +5,12 @@ import pytest
 
 from toplag.errors import InvalidBoundaryError
 from toplag.ingest import AlignedPair
-from toplag.landscape import DistanceMode, build_landscape, layer_bounds
+from toplag.landscape import (
+    DistanceMode,
+    EnergyLandscape,
+    build_landscape,
+    layer_bounds,
+)
 from toplag.synth import LagScenario, enumerate_directed_paths, generate
 from toplag.zerotemp import HardPath, local_mapping, optimal_path
 
@@ -190,8 +195,9 @@ class TestLocalMapping:
 
     def test_lazy_and_dense_agree(self):
         pair = random_pair(1, 30)
-        dense = build_landscape(pair, materialize=True)
-        lazy = build_landscape(pair, materialize=False)
+        dense = build_landscape(pair)
+        lazy = EnergyLandscape(pair.x, pair.y, DistanceMode.COMONOTONIC)
+        assert dense.eps is not None and lazy.eps is None
         assert np.array_equal(local_mapping(dense), local_mapping(lazy))
 
 
