@@ -46,7 +46,7 @@ from .ingest import (
     slice_pair,
 )
 from .landscape import DistanceMode, EnergyLandscape, build_landscape
-from .zerotemp import HardPath, local_mapping, optimal_path
+from .zerotemp import HardPath, optimal_path
 from .thermal import (
     WeightField,
     LagPath,
@@ -101,7 +101,6 @@ __all__ = [
     "EnergyLandscape",
     "build_landscape",
     "HardPath",
-    "local_mapping",
     "optimal_path",
     "WeightField",
     "LagPath",

@@ -344,9 +344,11 @@ def select_optimal(
     best = int(np.argmin(np.where(adm, table, np.inf)))
     s_idx, e_idx = divmod(best, len(ends))
     if not table[s_idx, e_idx] < np.inf:
+        # A depth-1 fan is one pair already; only a warmer scan can help.
+        advice = "" if spec.depth == 1 else " or shrink the boundary depth"
         raise NoAdmissiblePairError(
             f"every admissible pair's {mode} weight underflowed; "
-            "raise the temperature or shrink the boundary depth"
+            f"raise the temperature{advice}"
         )
 
     vals = np.sort(table[adm])

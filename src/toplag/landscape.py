@@ -113,12 +113,6 @@ class EnergyLandscape:
         """Costs at arrays of node coordinates (vectorized entry)."""
         return self._combine(self.x[np.asarray(i)], self.y[np.asarray(j)])
 
-    def row(self, i):
-        """Costs of row i against every j."""
-        if self.eps is not None:
-            return self.eps[i]
-        return self._combine(self.x[i], self.y)
-
     def layer(self, tau):
         """Costs on anti-diagonal tau, ordered by i ascending (lag descending)."""
         n = self.n

@@ -7,9 +7,15 @@ seed node to each lattice node:
 
     G(node) = [G(i, j-1) + G(i-1, j) + G(i-1, j-1)] * exp(-eps(node)/T)
 
-Weights shrink geometrically, so each layer is renormalized to a unit maximum
-with the exact log of the scale kept per sweep; ratios and log partition
-functions are reconstructed from the bookkeeping.
+One sweep, _StackedSweep, runs this recursion in either of two number
+domains. The linear domain, which the boundary scan streams, renormalizes
+each layer to a unit maximum and keeps the exact log of the scale per
+field; ratios and log partition functions are reconstructed from the
+bookkeeping. The log domain carries true log weights through logaddexp,
+which gives the recursion unbounded dynamic range: near the cold limit,
+within-layer weight ratios overwhelm any linear double, scaled or not. The
+materializing APIs (forward_weights, backward_weights, thermal_average) are
+one-field log-domain runs.
 
 Per-layer lag distributions come in two flavors. Bridge mode conditions on
 both a start and an end: the weight of passing through a node is
@@ -39,32 +45,41 @@ BACKWARD = "backward"
 class _StackedSweep:
     """Forward transfer-matrix sweeps for several seed nodes at once.
 
-    Field f holds the path weights from seed f. Stored values are scaled so
-    each field's layer maximum is 1, with true weights equal to
-    stored * exp(logscale[f]). Layers are produced in order
-    tau = 0, 1, ..., 2n-2 by step(); afterwards s1 is the current layer
-    over its full extent, log1 its per-field log scales and eps its
-    landscape costs.
+    Field f holds the path weights from seed f. Layers are produced in
+    order tau = 0, 1, ..., 2n-2 by step(); afterwards s1 is the current
+    layer over its full extent and eps its landscape costs. The number
+    domain is fixed at construction:
+
+      linear (default)  stored values are scaled so each field's layer
+                        maximum is 1, with true weights equal to
+                        stored * exp(log1[f]); a field with no weight left
+                        stores zeros and a -inf log scale.
+      log_domain=True   stored values are the true log weights, -inf
+                        where a field has no weight; log1 and log2 are
+                        unused.
 
     Only the three most recent layers are kept, in three rotating
     (fields, n + 2) rows with node i at column i + 1. A layer writes its
-    weights at columns lo+1 .. hi+1 and zero sentinels at lo and hi+2.
-    Layer bounds move by at most one per layer, so the predecessor slices
-    a step reads (columns lo .. hi+1 of the previous row, lo .. hi of the
-    one before) stay inside what those layers wrote and never read a
-    weight left from the layer a row held three layers earlier; the
-    sentinels stand for the nodes outside a layer's extent. (With the
-    full-lattice bounds the zero fill of fresh or restored rows already
-    covers those cells; the sentinels keep the step right for any bounds
-    that step by at most one, such as a lag band.)
+    weights at columns lo+1 .. hi+1 and sentinels of the domain's zero
+    weight (0 or -inf) at lo and hi+2. Layer bounds move by at most one per
+    layer, so the predecessor slices a step reads (columns lo .. hi+1 of
+    the previous row, lo .. hi of the one before) stay inside what those
+    layers wrote and never read a weight left from the layer a row held
+    three layers earlier; the sentinels stand for the nodes outside a
+    layer's extent. (With the full-lattice bounds the zero-weight fill of
+    fresh or restored rows already covers those cells; the sentinels keep
+    the step right for any bounds that step by at most one, such as a lag
+    band.)
     """
 
-    def __init__(self, l, seeds, temperature):
+    def __init__(self, l, seeds, temperature, log_domain=False):
         if temperature <= 0:
             raise ValueError("temperature must be positive")
         self.l = l
         self.n = l.n
         self.T = float(temperature)
+        self.log_domain = log_domain
+        self.zero = -np.inf if log_domain else 0.0
         self.n_fields = len(seeds)
         self.seed_by_tau = {}
         for f, (i, j) in enumerate(seeds):
@@ -74,7 +89,10 @@ class _StackedSweep:
                     f"seed ({i}, {j}) outside the {self.n} x {self.n} lattice"
                 )
             self.seed_by_tau.setdefault(i + j, []).append((f, i))
-        self.rows = np.zeros((3, self.n_fields, self.n + 2))
+        # np.zeros leaves the pages of a linear sweep's rows unmapped until a
+        # step writes them, which keeps the scan's peak memory down.
+        shape = (3, self.n_fields, self.n + 2)
+        self.rows = np.full(shape, -np.inf) if log_domain else np.zeros(shape)
         self.tau = -1
         self.s1 = None  # stored weights on layer tau, full layer extent
         self.lo1 = 0
@@ -98,7 +116,7 @@ class _StackedSweep:
         }
 
     def restore(self, snap):
-        self.rows[:] = 0.0
+        self.rows[:] = self.zero
         self.tau = tau = snap["tau"]
         self.s1, self.lo1, self.eps = None, 0, None
         if snap["s2"] is not None:
@@ -117,87 +135,52 @@ class _StackedSweep:
             raise EmptyLayerError(tau)
         lo, hi = layer_bounds(self.n, tau)
         eps = self.l.layer(tau)
-        emin = float(eps.min())
-        w = np.exp((emin - eps) / self.T)  # in (0, 1]
-
-        log_max = np.maximum(self.log1, self.log2)
-        base = np.where(np.isfinite(log_max), log_max, 0.0)
-        f1 = np.exp(self.log1 - base)[:, None]
-        f2 = np.exp(self.log2 - base)[:, None]
+        # A field's whole mass at its seed layer is the seed's own weight.
+        # Seeds are inside the lattice, so each lies on its layer's extent.
+        seeds = self.seed_by_tau.get(tau, ())
 
         p1 = self.rows[(tau - 1) % 3]
         p2 = self.rows[(tau - 2) % 3]
         cur = self.rows[tau % 3]
         raw = cur[:, lo + 1 : hi + 2]
         # predecessors (i, j-1) and (i-1, j) on layer tau-1, (i-1, j-1) on tau-2
-        np.add(p1[:, lo + 1 : hi + 2], p1[:, lo : hi + 1], out=raw)
-        raw *= f1
-        raw += p2[:, lo : hi + 1] * f2
-        raw *= w
+        if self.log_domain:
+            np.logaddexp(p1[:, lo + 1 : hi + 2], p1[:, lo : hi + 1], out=raw)
+            np.logaddexp(raw, p2[:, lo : hi + 1], out=raw)
+            cost = eps / self.T
+            raw -= cost
+            for f, i_seed in seeds:
+                raw[f, i_seed - lo] = -cost[i_seed - lo]
+        else:
+            emin = float(eps.min())
+            w = np.exp((emin - eps) / self.T)  # in (0, 1]
 
-        # A field's whole mass at its seed layer is the seed's own weight.
-        log_pre = base - emin / self.T
-        for f, i_seed in self.seed_by_tau.get(tau, ()):
-            if not lo <= i_seed <= hi:
-                raise InvalidBoundaryError(
-                    f"seed row {i_seed} not on layer {tau}"
-                )
-            raw[f, i_seed - lo] = w[i_seed - lo]
+            log_max = np.maximum(self.log1, self.log2)
+            base = np.where(np.isfinite(log_max), log_max, 0.0)
+            f1 = np.exp(self.log1 - base)[:, None]
+            f2 = np.exp(self.log2 - base)[:, None]
 
-        # A field with no weight left keeps zeros and a -inf log scale.
-        peak = raw.max(axis=1)
-        raw /= np.where(peak > 0, peak, 1.0)[:, None]
-        with np.errstate(divide="ignore"):
-            log_new = log_pre + np.log(peak)
-        cur[:, lo] = 0.0
-        cur[:, hi + 2] = 0.0
+            np.add(p1[:, lo + 1 : hi + 2], p1[:, lo : hi + 1], out=raw)
+            raw *= f1
+            raw += p2[:, lo : hi + 1] * f2
+            raw *= w
 
-        self.log2 = self.log1
-        self.s1, self.lo1, self.log1 = raw, lo, log_new
+            log_pre = base - emin / self.T
+            for f, i_seed in seeds:
+                raw[f, i_seed - lo] = w[i_seed - lo]
+
+            # A field with no weight left keeps zeros and a -inf log scale.
+            peak = raw.max(axis=1)
+            raw /= np.where(peak > 0, peak, 1.0)[:, None]
+            with np.errstate(divide="ignore"):
+                log_new = log_pre + np.log(peak)
+            self.log2, self.log1 = self.log1, log_new
+        cur[:, lo] = self.zero
+        cur[:, hi + 2] = self.zero
+
+        self.s1, self.lo1 = raw, lo
         self.eps = eps
         self.tau = tau
-
-
-def _log_accumulate(out, prev, lo_prev, lo, shift):
-    """out[i] = logaddexp(out[i], prev[i - shift]) on the overlapping rows."""
-    hi_prev = lo_prev + prev.size - 1
-    i_first = max(lo, lo_prev + shift)
-    i_last = min(lo + out.size - 1, hi_prev + shift)
-    if i_first > i_last:
-        return
-    dst = slice(i_first - lo, i_last - lo + 1)
-    src = slice(i_first - shift - lo_prev, i_last - shift - lo_prev + 1)
-    np.logaddexp(out[dst], prev[src], out=out[dst])
-
-
-def _log_sweep(l, seed, temperature):
-    """Single-seed forward recursion carried entirely in log weights.
-
-    Yields (tau, log_row) for every layer. Rows before the seed layer and
-    nodes outside the seed's cone are -inf. Log space gives the recursion
-    unbounded dynamic range: near the cold limit, within-layer weight
-    ratios overwhelm any linear double, scaled or not.
-    """
-    n = l.n
-    T = float(temperature)
-    si, sj = seed
-    tau0 = si + sj
-    prev1 = prev2 = None
-    lo1 = lo2 = 0
-    for tau in range(2 * n - 1):
-        lo, hi = layer_bounds(n, tau)
-        row = np.full(hi - lo + 1, -np.inf)
-        if tau > tau0:
-            _log_accumulate(row, prev1, lo1, lo, 0)  # predecessor (i, j-1)
-            _log_accumulate(row, prev1, lo1, lo, 1)  # predecessor (i-1, j)
-            if prev2 is not None:
-                _log_accumulate(row, prev2, lo2, lo, 1)  # predecessor (i-1, j-1)
-            row -= np.asarray(l.layer(tau), dtype=np.float64) / T
-        elif tau == tau0:
-            row[si - lo] = -float(l.entry(si, sj)) / T
-        prev2, lo2 = prev1, lo1
-        prev1, lo1 = row, lo
-        yield tau, row
 
 
 @dataclass
@@ -243,32 +226,50 @@ def _check_node(n, node):
     return i, j
 
 
-def forward_weights(l, start, temperature):
-    """Log weights of all paths from start to every node at or after it."""
+def _weight_field(l, node, temperature, direction):
+    """Materialize one node's field from a one-field log-domain sweep.
+
+    A backward field is the forward field of the time-reversed pair from the
+    mirrored node, restated in the original orientation.
+    """
     n = l.n
     if n > MATERIALIZE_LIMIT:
         raise LatticeTooLargeError(n, MATERIALIZE_LIMIT)
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    si, sj = _check_node(n, start)
-    tau0 = si + sj
+    i, j = _check_node(n, node)
+    backward = direction == BACKWARD
+    seed = (n - 1 - i, n - 1 - j) if backward else (i, j)
+    sweep = _StackedSweep(
+        l.reflected() if backward else l, [seed], temperature, log_domain=True
+    )
     vecs = [None] * (2 * n - 1)
     logscale = np.full(2 * n - 1, -np.inf)
-    for tau, row in _log_sweep(l, (si, sj), temperature):
-        if tau >= tau0:
-            m = float(row.max())
-            vecs[tau] = row - m
-            logscale[tau] = m
+    for tau in range(2 * n - 1):
+        sweep.step()
+        if tau < sum(seed):
+            continue
+        row = sweep.s1[0]
+        if backward:
+            row, tau = row[::-1], 2 * n - 2 - tau
+        m = float(row.max())
+        vecs[tau] = row - m
+        logscale[tau] = m
     return WeightField(
         n=n,
         temperature=float(temperature),
-        origin=(si, sj),
-        direction=FORWARD,
-        tau_min=tau0,
-        tau_max=2 * n - 2,
+        origin=(i, j),
+        direction=direction,
+        tau_min=0 if backward else i + j,
+        tau_max=i + j if backward else 2 * n - 2,
         vecs=vecs,
         logscale=logscale,
     )
+
+
+def forward_weights(l, start, temperature):
+    """Log weights of all paths from start to every node at or after it."""
+    return _weight_field(l, start, temperature, FORWARD)
 
 
 def backward_weights(l, end, temperature):
@@ -277,33 +278,7 @@ def backward_weights(l, end, temperature):
     Runs the forward sweep on the time-reversed pair and restates the result
     in the original orientation.
     """
-    n = l.n
-    if n > MATERIALIZE_LIMIT:
-        raise LatticeTooLargeError(n, MATERIALIZE_LIMIT)
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    ei, ej = _check_node(n, end)
-    tau_end = ei + ej
-    reflected = l.reflected()
-    vecs = [None] * (2 * n - 1)
-    logscale = np.full(2 * n - 1, -np.inf)
-    for tau_r, row in _log_sweep(reflected, (n - 1 - ei, n - 1 - ej), temperature):
-        tau = 2 * n - 2 - tau_r
-        if tau <= tau_end:
-            r = row[::-1]
-            m = float(r.max())
-            vecs[tau] = r - m
-            logscale[tau] = m
-    return WeightField(
-        n=n,
-        temperature=float(temperature),
-        origin=(ei, ej),
-        direction=BACKWARD,
-        tau_min=0,
-        tau_max=tau_end,
-        vecs=vecs,
-        logscale=logscale,
-    )
+    return _weight_field(l, end, temperature, BACKWARD)
 
 
 @dataclass

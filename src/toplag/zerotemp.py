@@ -5,10 +5,6 @@ The path walks the (i, j) lattice from a start to an end corner using steps
 programming over anti-diagonal layers finds the minimum; on cost ties the
 predecessor preference is diagonal, then the (i-1, j) step, then (i, j-1),
 which keeps results deterministic.
-
-Also provides the per-row argmin mapping (each observation of the first
-series matched to its cheapest partner), the naive baseline that motivates
-path methods: it is noise-brittle because neighboring rows are unconstrained.
 """
 
 from dataclasses import dataclass
@@ -19,16 +15,6 @@ from .errors import InvalidBoundaryError
 from .landscape import layer_bounds
 
 _DIAG, _UP, _LEFT, _SEED = 0, 1, 2, 3
-
-
-def local_mapping(l):
-    """Per-row argmin partner: mapping[i] = smallest j minimizing cost (i, j)."""
-    if l.eps is not None:
-        return np.argmin(l.eps, axis=1).astype(np.int64)
-    out = np.empty(l.n, dtype=np.int64)
-    for i in range(l.n):
-        out[i] = int(np.argmin(l.row(i)))
-    return out
 
 
 @dataclass

@@ -201,15 +201,24 @@ class TestSelectOptimal:
         assert res.best.energy == pytest.approx(want.energy, rel=1e-12)
         assert res.best.energy == pytest.approx(0.41183090011496415, rel=1e-15)
 
-    @pytest.mark.parametrize("mode", ["bridge", "forward"])
-    def test_all_underflowed_refusal_names_the_mode(self, mode):
+    @pytest.mark.parametrize(
+        "mode, depth, advice",
+        [
+            ("bridge", 8, "raise the temperature or shrink the boundary depth"),
+            ("forward", 8, "raise the temperature or shrink the boundary depth"),
+            # A depth-1 fan has no depth left to shrink.
+            ("bridge", 1, "raise the temperature"),
+            ("forward", 1, "raise the temperature"),
+        ],
+        ids=["bridge", "forward", "bridge-depth1", "forward-depth1"],
+    )
+    def test_all_underflowed_refusal_names_the_mode(self, mode, depth, advice):
         # At T = 0.004 every pair of this fixture underflows in both modes.
         l = self._fixture(seed=3, n=40, k=3)
         with pytest.raises(NoAdmissiblePairError) as err:
-            select_optimal(l, temperature=0.004, depth=8, mode=mode)
+            select_optimal(l, temperature=0.004, depth=depth, mode=mode)
         assert str(err.value) == (
-            f"every admissible pair's {mode} weight underflowed; "
-            "raise the temperature or shrink the boundary depth"
+            f"every admissible pair's {mode} weight underflowed; {advice}"
         )
 
     def test_invalid_arguments(self):

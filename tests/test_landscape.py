@@ -133,8 +133,6 @@ class TestAccessors:
         pair = random_pair(5, 8)
         l = build_landscape(pair, mode="plus")
         m = l.full_matrix()
-        for i in range(l.n):
-            assert np.array_equal(l.row(i), m[i])
         ii, jj = np.meshgrid(np.arange(l.n), np.arange(l.n), indexing="ij")
         assert np.array_equal(l.nodes(ii.ravel(), jj.ravel()), m.ravel())
 

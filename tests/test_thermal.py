@@ -437,3 +437,105 @@ class TestStackedSweepMatchesReference:
         for _ in range(3):  # the third step overwrites the layer's row
             sweep.step()
         assert np.array_equal(snap["s1"], held)
+
+
+# Reference log-space sweep: the materializing APIs' own recursion before
+# they became one-field log-domain runs of _StackedSweep. The new fields
+# must reproduce its layers byte for byte.
+def _log_accumulate(out, prev, lo_prev, lo, shift):
+    """out[i] = logaddexp(out[i], prev[i - shift]) on the overlapping rows."""
+    hi_prev = lo_prev + prev.size - 1
+    i_first = max(lo, lo_prev + shift)
+    i_last = min(lo + out.size - 1, hi_prev + shift)
+    if i_first > i_last:
+        return
+    dst = slice(i_first - lo, i_last - lo + 1)
+    src = slice(i_first - shift - lo_prev, i_last - shift - lo_prev + 1)
+    np.logaddexp(out[dst], prev[src], out=out[dst])
+
+
+def _log_sweep(l, seed, temperature):
+    """Single-seed forward recursion carried entirely in log weights.
+
+    Yields (tau, log_row) for every layer. Rows before the seed layer and
+    nodes outside the seed's cone are -inf. Log space gives the recursion
+    unbounded dynamic range: near the cold limit, within-layer weight
+    ratios overwhelm any linear double, scaled or not.
+    """
+    n = l.n
+    T = float(temperature)
+    si, sj = seed
+    tau0 = si + sj
+    prev1 = prev2 = None
+    lo1 = lo2 = 0
+    for tau in range(2 * n - 1):
+        lo, hi = layer_bounds(n, tau)
+        row = np.full(hi - lo + 1, -np.inf)
+        if tau > tau0:
+            _log_accumulate(row, prev1, lo1, lo, 0)  # predecessor (i, j-1)
+            _log_accumulate(row, prev1, lo1, lo, 1)  # predecessor (i-1, j)
+            if prev2 is not None:
+                _log_accumulate(row, prev2, lo2, lo, 1)  # predecessor (i-1, j-1)
+            row -= np.asarray(l.layer(tau), dtype=np.float64) / T
+        elif tau == tau0:
+            row[si - lo] = -float(l.entry(si, sj)) / T
+        prev2, lo2 = prev1, lo1
+        prev1, lo1 = row, lo
+        yield tau, row
+
+
+def _reference_field(l, node, T, backward):
+    """(vecs, logscale, tau_min, tau_max) as the reference APIs built them."""
+    n = l.n
+    i, j = node
+    vecs = [None] * (2 * n - 1)
+    logscale = np.full(2 * n - 1, -np.inf)
+    if backward:
+        for tau_r, row in _log_sweep(l.reflected(), (n - 1 - i, n - 1 - j), T):
+            tau = 2 * n - 2 - tau_r
+            if tau <= i + j:
+                r = row[::-1]
+                m = float(r.max())
+                vecs[tau] = r - m
+                logscale[tau] = m
+        return vecs, logscale, 0, i + j
+    for tau, row in _log_sweep(l, (i, j), T):
+        if tau >= i + j:
+            m = float(row.max())
+            vecs[tau] = row - m
+            logscale[tau] = m
+    return vecs, logscale, i + j, 2 * n - 2
+
+
+def _layer_bytes(vecs):
+    return [None if v is None else v.tobytes() for v in vecs]
+
+
+class TestWeightFieldsMatchReference:
+    @pytest.mark.parametrize("T", [10.0, 2.0, 0.05, 0.004, 1e-4])
+    @pytest.mark.parametrize("n", [2, 3, 7, 24, 60, 150])
+    def test_fields_are_byte_identical(self, n, T):
+        pair = random_pair(n, n, scale=2.0)
+        nodes = [(0, 0), (n - 1, n - 1), (0, n - 1), (n // 2, n // 3)]
+        for cost in ("minus", "plus", "mixed"):
+            l = build_landscape(pair, mode=cost)
+            for node in nodes:
+                for backward, build in ((False, forward_weights), (True, backward_weights)):
+                    got = build(l, node, T)
+                    vecs, logscale, tau_min, tau_max = _reference_field(l, node, T, backward)
+                    assert _layer_bytes(got.vecs) == _layer_bytes(vecs)
+                    assert got.logscale.tobytes() == logscale.tobytes()
+                    assert (got.tau_min, got.tau_max) == (tau_min, tau_max)
+
+    @pytest.mark.parametrize("T", [2.0, 1e-3])
+    def test_stacked_log_sweep_equals_its_one_field_runs(self, T):
+        n = 30
+        l = build_landscape(random_pair(9, n, scale=3.0))
+        seeds = [(0, 0), (3, 0), (0, 5), (9, 9), (n - 1, 0), (n - 1, n - 1)]
+        stacked = _StackedSweep(l, seeds, T, log_domain=True)
+        singles = [_StackedSweep(l, [s], T, log_domain=True) for s in seeds]
+        for _ in range(2 * n - 1):
+            stacked.step()
+            for f, single in enumerate(singles):
+                single.step()
+                assert stacked.s1[f].tobytes() == single.s1[0].tobytes()

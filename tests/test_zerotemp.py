@@ -5,14 +5,9 @@ import pytest
 
 from toplag.errors import InvalidBoundaryError
 from toplag.ingest import AlignedPair
-from toplag.landscape import (
-    DistanceMode,
-    EnergyLandscape,
-    build_landscape,
-    layer_bounds,
-)
+from toplag.landscape import DistanceMode, build_landscape, layer_bounds
 from toplag.synth import LagScenario, enumerate_directed_paths, generate
-from toplag.zerotemp import HardPath, local_mapping, optimal_path
+from toplag.zerotemp import HardPath, optimal_path
 
 from conftest import integer_pair, random_pair
 
@@ -45,9 +40,6 @@ class _Shifted:
 
     def nodes(self, i, j):
         return self._base.nodes(i, j) + self._c
-
-    def row(self, i):
-        return self._base.row(i) + self._c
 
     def full_matrix(self):
         return self._base.full_matrix() + self._c
@@ -166,39 +158,6 @@ def _assert_matches_reference(l, start=None, end=None):
     assert np.array_equal(got.nodes, nodes)
     assert np.array_equal(got.mapping, mapping)
     assert got.total_energy == total
-
-
-class TestLocalMapping:
-    def test_exact_shift_maps_forward_by_k(self):
-        s = LagScenario(kind="constant", n=60, seed=3, k=3)
-        pair, _ = generate(s)
-        l = build_landscape(pair)
-        m = local_mapping(l)
-        t1 = np.arange(60 - 3)
-        assert np.array_equal(m[t1], t1 + 3)
-
-    def test_identity_on_equal_series(self):
-        rng = np.random.default_rng(0)
-        x = rng.permutation(40).astype(np.float64)
-        l = build_landscape(AlignedPair(x=x, y=x.copy()))
-        assert np.array_equal(local_mapping(l), np.arange(40))
-
-    def test_noise_produces_jumps(self):
-        # the pointwise argmin is not monotone once noise is present
-        for seed in range(50):
-            s = LagScenario(kind="constant", n=80, seed=seed, k=4, noise_sigma=0.8)
-            pair, _ = generate(s)
-            m = local_mapping(build_landscape(pair))
-            if np.any(np.abs(np.diff(m)) > 1):
-                return
-        pytest.fail("no jump found in 50 noisy fixtures")
-
-    def test_lazy_and_dense_agree(self):
-        pair = random_pair(1, 30)
-        dense = build_landscape(pair)
-        lazy = EnergyLandscape(pair.x, pair.y, DistanceMode.COMONOTONIC)
-        assert dense.eps is not None and lazy.eps is None
-        assert np.array_equal(local_mapping(dense), local_mapping(lazy))
 
 
 class TestOptimalPath:
