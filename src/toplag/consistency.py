@@ -8,8 +8,8 @@ statistic, and a two-sided Student-t p-value are reported; windows whose
 shifted regressor is constant are undefined rather than errors.
 
 The Student-t tail is evaluated through the regularized incomplete beta
-function, computed with a Lentz continued fraction; no external stats
-dependency is involved.
+function, computed with a Lentz continued fraction that runs over all
+windows at once; no external stats dependency is involved.
 """
 
 import math
@@ -31,75 +31,105 @@ _BETA_EPS = 1e-15
 _BETA_FPMIN = 1e-300
 
 
+def _clamp_tiny(v):
+    """Lift entries with |v| < _BETA_FPMIN to _BETA_FPMIN, in place."""
+    v[np.abs(v) < _BETA_FPMIN] = _BETA_FPMIN
+
+
 def _beta_cont_frac(a, b, x):
-    """Continued fraction for the incomplete beta, by Lentz's method."""
+    """Continued fraction for the incomplete beta, by Lentz's method.
+
+    Elementwise over the array x with scalar a and b. Each element runs the
+    same sequence of correctly rounded + - * / as a scalar loop would and
+    leaves the loop at its own convergence step.
+    """
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
-    c = 1.0
+    out = np.empty(x.size)
+    idx = np.arange(x.size)
+    c = np.ones(x.size)
     d = 1.0 - qab * x / qap
-    if abs(d) < _BETA_FPMIN:
-        d = _BETA_FPMIN
+    _clamp_tiny(d)
     d = 1.0 / d
     h = d
-    for m in range(1, _BETA_MAXIT + 1):
+    m = 0
+    while idx.size:
+        m += 1
+        if m > _BETA_MAXIT:
+            raise RuntimeError("incomplete beta continued fraction did not converge")
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
-        if abs(d) < _BETA_FPMIN:
-            d = _BETA_FPMIN
+        _clamp_tiny(d)
         c = 1.0 + aa / c
-        if abs(c) < _BETA_FPMIN:
-            c = _BETA_FPMIN
+        _clamp_tiny(c)
         d = 1.0 / d
-        h *= d * c
+        h = h * (d * c)
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
         d = 1.0 + aa * d
-        if abs(d) < _BETA_FPMIN:
-            d = _BETA_FPMIN
+        _clamp_tiny(d)
         c = 1.0 + aa / c
-        if abs(c) < _BETA_FPMIN:
-            c = _BETA_FPMIN
+        _clamp_tiny(c)
         d = 1.0 / d
         delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _BETA_EPS:
-            return h
-    raise RuntimeError("incomplete beta continued fraction did not converge")
+        h = h * delta
+        done = np.abs(delta - 1.0) < _BETA_EPS
+        if done.any():
+            out[idx[done]] = h[done]
+            live = ~done
+            idx, x, c, d, h = idx[live], x[live], c[live], d[live], h[live]
+    return out
+
+
+def _incomplete_beta(a, b, x):
+    """I_x(a, b) elementwise over the float64 array x, for scalar a, b > 0."""
+    out = np.empty(x.size)
+    low, high = x <= 0.0, x >= 1.0
+    out[low] = 0.0
+    out[high] = 1.0
+    # NaN goes on to the continued fraction, which then does not converge.
+    inner = np.flatnonzero(~(low | high))
+    xs = x[inner]
+    # Summed left to right, so the lgamma terms can be taken out of the
+    # per-element sum without changing a bit.
+    g = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    front = np.array(
+        [math.exp(g + a * math.log(v) + b * math.log1p(-v)) for v in xs.tolist()]
+    )
+    # Choose the representation whose continued fraction converges fast.
+    lower = xs < (a + 1.0) / (a + b + 2.0)
+    upper = ~lower
+    out[inner[lower]] = front[lower] * _beta_cont_frac(a, b, xs[lower]) / a
+    out[inner[upper]] = 1.0 - front[upper] * _beta_cont_frac(b, a, 1.0 - xs[upper]) / b
+    return out
+
+
+def _student_t_pvalues(t, df):
+    """Two-sided Student-t p-values elementwise over the float64 array t."""
+    out = np.zeros(t.size)  # p = 0 for an infinite t
+    out[np.isnan(t)] = np.nan
+    finite = np.flatnonzero(np.isfinite(t))
+    tf = t[finite]
+    # t * t is +inf beyond |t| ~ 1e154, which gives x = 0 and p = 0.
+    with np.errstate(over="ignore"):
+        x = df / (df + tf * tf)
+    out[finite] = _incomplete_beta(0.5 * df, 0.5, x)
+    return out
 
 
 def regularized_incomplete_beta(a, b, x):
     """I_x(a, b) for a, b > 0 and x in [0, 1]."""
     if a <= 0 or b <= 0:
         raise ValueError("shape parameters must be positive")
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    # Choose the representation whose continued fraction converges fast.
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cont_frac(a, b, x) / a
-    return 1.0 - front * _beta_cont_frac(b, a, 1.0 - x) / b
+    return float(_incomplete_beta(a, b, np.array([x], dtype=np.float64))[0])
 
 
 def student_t_two_sided_pvalue(t, df):
     """P(|T_df| >= |t|) = I_{df/(df+t^2)}(df/2, 1/2)."""
     if df <= 0:
         raise ValueError("degrees of freedom must be positive")
-    if math.isnan(t):
-        return float("nan")
-    if math.isinf(t):
-        return 0.0
-    x = df / (df + t * t)
-    return regularized_incomplete_beta(0.5 * df, 0.5, x)
+    return float(_student_t_pvalues(np.array([t], dtype=np.float64), df)[0])
 
 
 # --- lag resampling ---------------------------------------------------------
@@ -268,7 +298,7 @@ def run_consistency(pair, t_index, lag_at_t, window, alpha=0.05):
     sl = slope[d][~nz]
     ts[~nz] = np.where(sl == 0.0, 0.0, np.sign(sl) * np.inf)
     t_stat[d] = ts
-    pv = np.array([student_t_two_sided_pvalue(float(v), df) for v in ts])
+    pv = _student_t_pvalues(ts, df)
     p_value[d] = pv
 
     significant = np.zeros(sx.size, dtype=bool)

@@ -76,6 +76,7 @@ class EnergyLandscape:
 
     eps holds the dense matrix when the lattice is small enough to keep it;
     otherwise it is None and entries are generated from the stored series.
+    A reversed copy of y (n doubles) makes each layer two forward slices.
     """
 
     x: np.ndarray
@@ -89,6 +90,7 @@ class EnergyLandscape:
         if self.x.shape != self.y.shape or self.x.ndim != 1:
             raise ValueError("landscape needs two 1-d series of equal length")
         self.mode = DistanceMode.canonical(self.mode)
+        self._y_rev = self.y[::-1].copy()
 
     @property
     def n(self):
@@ -117,9 +119,10 @@ class EnergyLandscape:
         """Costs on anti-diagonal tau, ordered by i ascending (lag descending)."""
         n = self.n
         lo, hi = layer_bounds(n, tau)
-        # i = lo..hi pairs with j = tau-lo down to tau-hi
-        ys = self.y[tau - hi : tau - lo + 1][::-1]
-        return self._combine(self.x[lo : hi + 1], ys)
+        # i = lo..hi pairs with j = tau-lo down to tau-hi, which sit at
+        # n-1-tau+lo .. n-1-tau+hi of the reversed copy
+        r = n - 1 - tau
+        return self._combine(self.x[lo : hi + 1], self._y_rev[r + lo : r + hi + 1])
 
     def full_matrix(self):
         """Dense n x n cost matrix; refuses on lattices too large to hold."""

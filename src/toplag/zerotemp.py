@@ -5,6 +5,13 @@ The path walks the (i, j) lattice from a start to an end corner using steps
 programming over anti-diagonal layers finds the minimum; on cost ties the
 predecessor preference is diagonal, then the (i-1, j) step, then (i, j-1),
 which keeps results deterministic.
+
+Backpointers take one byte per node of the anchor rectangle, in one flat
+uint8 buffer: layer k (tau = tau0 + k) holds its nodes i = lo_k .. hi_k at
+offs[k] .. offs[k+1]-1. Bit 0 is set when the (i-1, j) step beats the
+diagonal, bit 1 when the (i, j-1) step beats both. The backtrack follows
+(i, j-1) if bit 1 is set, else (i-1, j) if bit 0 is set, else the diagonal.
+The start layer's byte is never read.
 """
 
 from dataclasses import dataclass
@@ -14,7 +21,7 @@ import numpy as np
 from .errors import InvalidBoundaryError
 from .landscape import layer_bounds
 
-_DIAG, _UP, _LEFT, _SEED = 0, 1, 2, 3
+_UP, _LEFT = 1, 2
 
 
 @dataclass
@@ -65,9 +72,13 @@ def optimal_path(l, start=None, end=None):
 
     tau0 = si + sj
     tau_end = ei + ej
-
-    def bounds(tau):
-        return max(si, tau - ej), min(ei, tau - sj)
+    taus = np.arange(tau0, tau_end + 1)
+    los = np.maximum(si, taus - ej)
+    his = np.minimum(ei, taus - sj)
+    offs = np.zeros(taus.size + 1, dtype=np.int64)
+    np.cumsum(his - los + 1, out=offs[1:])
+    whole = (los == np.maximum(0, taus - (n - 1))) & (his == np.minimum(taus, n - 1))
+    los, his, offs, whole = los.tolist(), his.tolist(), offs.tolist(), whole.tolist()
 
     # Accumulated costs live in three rotating rows of length n + 2, node i
     # at index i + 1. A layer writes its costs at lo+1 .. hi+1 and +inf
@@ -79,51 +90,52 @@ def optimal_path(l, start=None, end=None):
     # the rectangle bounds used here no stale cost reaches those slices
     # even without sentinels; they keep the loop right for any bounds that
     # step by at most one, such as a lag band.)
-    rows = np.full((3, n + 2), np.inf)
-    left = np.empty(n, dtype=bool)
-    codes = {}
-    lows = {}
+    rows = list(np.full((3, n + 2), np.inf))
+    left = np.empty(n, dtype=np.uint8)
+    left_bits = left.view(bool)
+    codes = np.zeros(offs[-1], dtype=np.uint8)
+    up_bits = codes.view(bool)
     for k, tau in enumerate(range(tau0, tau_end + 1)):
-        lo, hi = bounds(tau)
-        eps = _layer_costs(l, tau, lo, hi)
+        lo, hi = los[k], his[k]
+        eps = _layer_costs(l, tau, lo, hi, whole[k])
         cur = rows[k % 3]
         best = cur[lo + 1 : hi + 2]
-        if tau == tau0:
+        if k == 0:
             best[:] = eps
-            code = np.full(hi - lo + 1, _SEED, dtype=np.uint8)
         else:
             p1 = rows[(k - 1) % 3]
-            p2 = rows[(k - 2) % 3]
-            c_diag = p2[lo : hi + 1]
+            c_diag = rows[(k - 2) % 3][lo : hi + 1]
             c_up = p1[lo : hi + 1]
             c_left = p1[lo + 1 : hi + 2]
             # Strict compares keep the diagonal, then (i-1, j), on ties.
-            code = (c_up < c_diag).view(np.uint8)  # _UP (1) or _DIAG (0)
+            a, b = offs[k], offs[k + 1]
+            np.less(c_up, c_diag, out=up_bits[a:b])
             np.minimum(c_diag, c_up, out=best)
-            m = np.less(c_left, best, out=left[: hi - lo + 1])
-            np.putmask(code, m, _LEFT)
+            np.less(c_left, best, out=left_bits[: b - a])
+            code, m = codes[a:b], left[: b - a]
+            np.add(code, m, out=code)
+            np.add(code, m, out=code)
             np.minimum(best, c_left, out=best)
-            best += eps
+            np.add(best, eps, out=best)
         cur[lo] = cur[hi + 2] = np.inf
-        codes[tau] = code
-        lows[tau] = lo
 
-    # Walk back from the end following stored predecessor codes.
+    # Walk back from the end following the stored predecessor bits.
+    bits = memoryview(codes)
     path = []
-    tau, i = tau_end, ei
+    k, i = tau_end - tau0, ei
     while True:
-        path.append((i, tau - i))
-        c = codes[tau][i - lows[tau]]
-        if c == _SEED:
+        path.append((i, tau0 + k - i))
+        if k == 0:
             break
-        if c == _DIAG:
-            tau -= 2
-            i -= 1
-        elif c == _UP:
-            tau -= 1
+        c = bits[offs[k] + i - los[k]]
+        if c & _LEFT:
+            k -= 1
+        elif c & _UP:
+            k -= 1
             i -= 1
         else:
-            tau -= 1
+            k -= 2
+            i -= 1
     path.reverse()
     nodes = np.array(path, dtype=np.int64)
     total = float(np.sum(l.nodes(nodes[:, 0], nodes[:, 1])))
@@ -140,8 +152,11 @@ def optimal_path(l, start=None, end=None):
     )
 
 
-def _layer_costs(l, tau, lo, hi):
-    """Landscape costs for layer tau restricted to i in [lo, hi]."""
-    full = l.layer(tau)
+def _layer_costs(l, tau, lo, hi, whole):
+    """Landscape costs for layer tau restricted to i in [lo, hi]; whole says
+    that [lo, hi] is the entire layer, which is then returned as it is."""
+    layer = l.layer(tau)
+    if whole:
+        return layer
     glo, _ = layer_bounds(l.n, tau)
-    return full[lo - glo : hi - glo + 1]
+    return layer[lo - glo : hi - glo + 1]

@@ -6,11 +6,14 @@ continued-fraction implementation was written; they are the reference this
 module is held to.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toplag import consistency
 from toplag.consistency import (
     make_synced,
     regularized_incomplete_beta,
@@ -254,3 +257,161 @@ class TestRollingRegression:
         rep = run_consistency(pair, np.arange(8), np.zeros(8), window=12)
         assert rep.n_windows == 0
         assert np.isnan(rep.frac_significant)
+
+
+# Reference tail: the scalar Lentz loop as it was before the p-values of all
+# windows were computed in one pass. The vector code must reproduce it bit
+# for bit.
+def _ref_beta_cont_frac(a, b, x):
+    """Continued fraction for the incomplete beta, by Lentz's method."""
+    _BETA_MAXIT = consistency._BETA_MAXIT
+    _BETA_EPS = consistency._BETA_EPS
+    _BETA_FPMIN = consistency._BETA_FPMIN
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < _BETA_FPMIN:
+        d = _BETA_FPMIN
+    d = 1.0 / d
+    h = d
+    for m in range(1, _BETA_MAXIT + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _BETA_FPMIN:
+            d = _BETA_FPMIN
+        c = 1.0 + aa / c
+        if abs(c) < _BETA_FPMIN:
+            c = _BETA_FPMIN
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _BETA_FPMIN:
+            d = _BETA_FPMIN
+        c = 1.0 + aa / c
+        if abs(c) < _BETA_FPMIN:
+            c = _BETA_FPMIN
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < _BETA_EPS:
+            return h
+    raise RuntimeError("incomplete beta continued fraction did not converge")
+
+
+def _ref_regularized_incomplete_beta(a, b, x):
+    """I_x(a, b) for a, b > 0 and x in [0, 1]."""
+    if a <= 0 or b <= 0:
+        raise ValueError("shape parameters must be positive")
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    ln_front = (
+        math.lgamma(a + b)
+        - math.lgamma(a)
+        - math.lgamma(b)
+        + a * math.log(x)
+        + b * math.log1p(-x)
+    )
+    front = math.exp(ln_front)
+    # Choose the representation whose continued fraction converges fast.
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _ref_beta_cont_frac(a, b, x) / a
+    return 1.0 - front * _ref_beta_cont_frac(b, a, 1.0 - x) / b
+
+
+def _ref_student_t_two_sided_pvalue(t, df):
+    """P(|T_df| >= |t|) = I_{df/(df+t^2)}(df/2, 1/2)."""
+    if df <= 0:
+        raise ValueError("degrees of freedom must be positive")
+    if math.isnan(t):
+        return float("nan")
+    if math.isinf(t):
+        return 0.0
+    x = df / (df + t * t)
+    return _ref_regularized_incomplete_beta(0.5 * df, 0.5, x)
+
+
+def _t_grid():
+    rng = np.random.default_rng(12)
+    scales = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0)
+    ts = np.concatenate([s * rng.standard_normal(40) for s in scales])
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300, 1e300, -1e300]
+    return np.concatenate([ts, special])
+
+
+def _same_bits(got, want):
+    return np.asarray(got, dtype=np.float64).tobytes() == np.asarray(
+        want, dtype=np.float64
+    ).tobytes()
+
+
+class TestTailsMatchScalarReference:
+    @pytest.mark.parametrize("df", [1, 2, 5, 18, 38, 100])
+    def test_vector_pvalues_are_byte_identical(self, df):
+        ts = _t_grid()
+        want = [_ref_student_t_two_sided_pvalue(float(v), df) for v in ts]
+        assert _same_bits(consistency._student_t_pvalues(ts, df), want)
+
+    @pytest.mark.parametrize("df", [1, 2, 5, 18, 38, 100])
+    def test_scalar_wrapper_is_byte_identical(self, df):
+        for v in _t_grid().tolist():
+            got = student_t_two_sided_pvalue(v, df)
+            assert type(got) is float
+            assert _same_bits(got, _ref_student_t_two_sided_pvalue(v, df))
+
+    @pytest.mark.parametrize("a, b", [(0.5, 0.5), (2, 3), (9.0, 0.5), (0.3, 7.5), (50.0, 0.5)])
+    def test_incomplete_beta_is_byte_identical(self, a, b):
+        xs = [0.0, 1e-300, 1e-12, 0.01, 0.2, 0.5, 0.7, 0.9, 0.999, 1 - 1e-12, 1.0]
+        xs += np.random.default_rng(5).random(30).tolist()
+        for x in xs:
+            got = regularized_incomplete_beta(a, b, x)
+            assert _same_bits(got, _ref_regularized_incomplete_beta(a, b, x))
+
+    def test_huge_t_is_silent(self):
+        with np.errstate(all="raise"):
+            got = consistency._student_t_pvalues(np.array([1e200, -1e160, 3.0]), 18)
+        assert got[0] == 0.0 and got[1] == 0.0 and 0.0 < got[2] < 1.0
+
+    def test_empty_input(self):
+        assert consistency._student_t_pvalues(np.empty(0), 5).size == 0
+
+    def test_run_consistency_report_is_byte_identical(self):
+        rng = np.random.default_rng(8)
+        n = 600
+        x = rng.normal(size=n)
+        y = 0.4 * np.roll(x, 2) + rng.normal(size=n)
+        x[100:130] = 1.5  # constant regressor: undefined windows
+        y[300:340] = 2.0 * x[298:338]  # exact fit: a huge or infinite t
+        lag = np.where(np.arange(n) < 450, 2.0, 1.0)
+        window = 20
+        rep = run_consistency(AlignedPair(x=x, y=y), np.arange(n), lag, window)
+        d = rep.defined
+        assert 0 < rep.n_defined < rep.n_windows
+        assert np.abs(rep.t_stat[d]).max() > 1e6
+        pv = np.array(
+            [_ref_student_t_two_sided_pvalue(float(v), window - 2) for v in rep.t_stat[d]]
+        )
+        want = np.full(rep.n_windows, np.nan)
+        want[d] = pv
+        assert _same_bits(rep.p_value, want)
+        want_sig = np.zeros(rep.n_windows, dtype=bool)
+        want_sig[d] = pv <= rep.alpha
+        assert np.array_equal(rep.significant, want_sig)
+
+    def test_nonconvergence_still_raises(self, monkeypatch):
+        monkeypatch.setattr(consistency, "_BETA_MAXIT", 2)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            student_t_two_sided_pvalue(1.3, 18)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            consistency._student_t_pvalues(np.array([0.4, 1.3, 2.5]), 18)
+
+    def test_nan_x_still_raises_like_the_scalar_loop(self):
+        with pytest.raises(RuntimeError):
+            _ref_regularized_incomplete_beta(2.0, 3.0, float("nan"))
+        with pytest.raises(RuntimeError):
+            regularized_incomplete_beta(2.0, 3.0, float("nan"))

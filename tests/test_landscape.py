@@ -158,6 +158,24 @@ class TestAccessors:
         m = l.full_matrix()
         assert np.array_equal(r.full_matrix(), m[::-1, ::-1])
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 400])
+    @pytest.mark.parametrize("mode", DistanceMode.ALL)
+    def test_layer_matches_reversed_slice_formula(self, n, mode):
+        # The layer as it was read before the reversed copy of y existed:
+        # a reversed slice of y itself.
+        def reference(l, tau):
+            lo, hi = layer_bounds(l.n, tau)
+            ys = l.y[tau - hi : tau - lo + 1][::-1]
+            return l._combine(l.x[lo : hi + 1], ys)
+
+        rng = np.random.default_rng(30 + n)
+        base = EnergyLandscape(rng.normal(size=n), rng.normal(size=n), mode)
+        for l in (base, base.reflected()):
+            for tau in range(2 * n - 1):
+                got = l.layer(tau)
+                assert got.dtype == np.float64
+                assert got.tobytes() == reference(l, tau).tobytes()
+
     def test_default_materialization_threshold(self):
         pair = random_pair(8, 12)
         assert build_landscape(pair).eps is not None

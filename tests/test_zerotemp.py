@@ -149,15 +149,84 @@ def _reference_path(l, start, end):
     return nodes, mapping, total
 
 
-def _assert_matches_reference(l, start=None, end=None):
+# Second reference: optimal_path as it was written before the flat
+# backpointer buffer, with padded rotating rows and a dict of per-layer
+# predecessor codes.
+def _padded_row_path(l, start, end):
+    n = l.n
+    si, sj = start
+    ei, ej = end
+    tau0 = si + sj
+    tau_end = ei + ej
+
+    def bounds(tau):
+        return max(si, tau - ej), min(ei, tau - sj)
+
+    rows = np.full((3, n + 2), np.inf)
+    left = np.empty(n, dtype=bool)
+    codes = {}
+    lows = {}
+    for k, tau in enumerate(range(tau0, tau_end + 1)):
+        lo, hi = bounds(tau)
+        full = l.layer(tau)
+        glo, _ = layer_bounds(l.n, tau)
+        eps = full[lo - glo : hi - glo + 1]
+        cur = rows[k % 3]
+        best = cur[lo + 1 : hi + 2]
+        if tau == tau0:
+            best[:] = eps
+            code = np.full(hi - lo + 1, _SEED, dtype=np.uint8)
+        else:
+            p1 = rows[(k - 1) % 3]
+            p2 = rows[(k - 2) % 3]
+            c_diag = p2[lo : hi + 1]
+            c_up = p1[lo : hi + 1]
+            c_left = p1[lo + 1 : hi + 2]
+            code = (c_up < c_diag).view(np.uint8)
+            np.minimum(c_diag, c_up, out=best)
+            m = np.less(c_left, best, out=left[: hi - lo + 1])
+            np.putmask(code, m, _LEFT)
+            np.minimum(best, c_left, out=best)
+            best += eps
+        cur[lo] = cur[hi + 2] = np.inf
+        codes[tau] = code
+        lows[tau] = lo
+
+    path = []
+    tau, i = tau_end, ei
+    while True:
+        path.append((i, tau - i))
+        c = codes[tau][i - lows[tau]]
+        if c == _SEED:
+            break
+        if c == _DIAG:
+            tau -= 2
+            i -= 1
+        elif c == _UP:
+            tau -= 1
+            i -= 1
+        else:
+            tau -= 1
+    path.reverse()
+    nodes = np.array(path, dtype=np.int64)
+    total = float(np.sum(l.nodes(nodes[:, 0], nodes[:, 1])))
+    mapping = np.empty(ei - si + 1, dtype=np.int64)
+    for i, j in path:
+        mapping[i - si] = j
+    return nodes, mapping, total
+
+
+def _assert_matches_reference(l, start=None, end=None, refs=(_reference_path, _padded_row_path)):
     n = l.n
     start = (0, 0) if start is None else start
     end = (n - 1, n - 1) if end is None else end
     got = optimal_path(l, start=start, end=end)
-    nodes, mapping, total = _reference_path(l, start, end)
-    assert np.array_equal(got.nodes, nodes)
-    assert np.array_equal(got.mapping, mapping)
-    assert got.total_energy == total
+    for ref in refs:
+        nodes, mapping, total = ref(l, start, end)
+        assert got.nodes.dtype == nodes.dtype and got.nodes.tobytes() == nodes.tobytes()
+        assert got.mapping.dtype == mapping.dtype
+        assert got.mapping.tobytes() == mapping.tobytes()
+        assert np.float64(got.total_energy).tobytes() == np.float64(total).tobytes()
 
 
 class TestOptimalPath:
@@ -291,6 +360,21 @@ class TestMatchesReferenceRecursion:
         for seed in range(5):
             l = build_landscape(integer_pair(seed, 11, high=3))
             _assert_matches_reference(_Shifted(l, 0.5))
+
+    def test_matrix_proxy(self):
+        rng = np.random.default_rng(4)
+        for n in (2, 3, 9, 16):
+            e = rng.integers(0, 3, size=(n, n)).astype(np.float64)
+            _assert_matches_reference(_Matrix(e))
+            _assert_matches_reference(_Matrix(e), (1, 0), (n - 1, n - 2))
+        _assert_matches_reference(_Matrix([[0, 1, 9], [1, 9, 0], [9, 0, 0]]))
+
+    def test_n5000_pair(self):
+        rng = np.random.default_rng(23)
+        x = np.cumsum(rng.normal(size=5000))
+        y = np.roll(x, 4) + 0.3 * rng.normal(size=5000)
+        l = build_landscape(AlignedPair(x=x, y=y))
+        _assert_matches_reference(l, refs=(_padded_row_path,))
 
 
 class TestConstantShift:
