@@ -6,12 +6,18 @@ programming over anti-diagonal layers finds the minimum; on cost ties the
 predecessor preference is diagonal, then the (i-1, j) step, then (i, j-1),
 which keeps results deterministic.
 
-Backpointers take one byte per node of the anchor rectangle, in one flat
-uint8 buffer: layer k (tau = tau0 + k) holds its nodes i = lo_k .. hi_k at
-offs[k] .. offs[k+1]-1. Bit 0 is set when the (i-1, j) step beats the
-diagonal, bit 1 when the (i, j-1) step beats both. The backtrack follows
-(i, j-1) if bit 1 is set, else (i-1, j) if bit 0 is set, else the diagonal.
-The start layer's byte is never read.
+Backpointers take two bits per node of the anchor rectangle, kept as two
+bit-planes in the rows of one (2, bytes) uint8 array. Layer k (tau = tau0 + k)
+holds its nodes i = lo_k .. hi_k at bits offs[k] .. offs[k] + hi_k - lo_k;
+each layer's slot is rounded up to a multiple of 8 bits, so every layer
+starts on a byte boundary. Plane 0 has the bit set when the (i-1, j) step
+beats the diagonal, plane 1 when the (i, j-1) step beats both; bit b of a
+plane is bit b & 7 (least significant first) of byte b >> 3. The layer loop
+writes the bits as bools into a staging buffer and packs it into the planes
+whenever _STAGE_BITS bits have gathered, and once more after the last layer.
+The backtrack follows (i, j-1) if its bit is set, else (i-1, j) if its bit is
+set, else the diagonal. The start layer's bits and the padding bits are never
+read.
 """
 
 from dataclasses import dataclass
@@ -21,7 +27,8 @@ import numpy as np
 from .errors import InvalidBoundaryError
 from .landscape import layer_bounds
 
-_UP, _LEFT = 1, 2
+# Staged bits per plane between two packs into the bit-planes.
+_STAGE_BITS = 1 << 16
 
 
 @dataclass
@@ -76,7 +83,7 @@ def optimal_path(l, start=None, end=None):
     los = np.maximum(si, taus - ej)
     his = np.minimum(ei, taus - sj)
     offs = np.zeros(taus.size + 1, dtype=np.int64)
-    np.cumsum(his - los + 1, out=offs[1:])
+    np.cumsum((his - los + 8) & -8, out=offs[1:])
     whole = (los == np.maximum(0, taus - (n - 1))) & (his == np.minimum(taus, n - 1))
     los, his, offs, whole = los.tolist(), his.tolist(), offs.tolist(), whole.tolist()
 
@@ -91,10 +98,14 @@ def optimal_path(l, start=None, end=None):
     # even without sentinels; they keep the loop right for any bounds that
     # step by at most one, such as a lag band.)
     rows = list(np.full((3, n + 2), np.inf))
-    left = np.empty(n, dtype=np.uint8)
-    left_bits = left.view(bool)
-    codes = np.zeros(offs[-1], dtype=np.uint8)
-    up_bits = codes.view(bool)
+    # The stage holds the bits from offs index base on, as bools; it is
+    # packed into the planes once it holds _STAGE_BITS of them, so it needs
+    # room for fewer than that plus one layer's slot of at most n + 7 bits.
+    planes = np.empty((2, offs[-1] >> 3), dtype=np.uint8)
+    stage = np.zeros((2, min(offs[-1], _STAGE_BITS + n + 7)), dtype=bool)
+    up_bits, left_bits = stage
+    base = 0
+    last = tau_end - tau0
     for k, tau in enumerate(range(tau0, tau_end + 1)):
         lo, hi = los[k], his[k]
         eps = _layer_costs(l, tau, lo, hi, whole[k])
@@ -108,29 +119,35 @@ def optimal_path(l, start=None, end=None):
             c_up = p1[lo : hi + 1]
             c_left = p1[lo + 1 : hi + 2]
             # Strict compares keep the diagonal, then (i-1, j), on ties.
-            a, b = offs[k], offs[k + 1]
+            a = offs[k] - base
+            b = a + hi - lo + 1
             np.less(c_up, c_diag, out=up_bits[a:b])
             np.minimum(c_diag, c_up, out=best)
-            np.less(c_left, best, out=left_bits[: b - a])
-            code, m = codes[a:b], left[: b - a]
-            np.add(code, m, out=code)
-            np.add(code, m, out=code)
+            np.less(c_left, best, out=left_bits[a:b])
             np.minimum(best, c_left, out=best)
             np.add(best, eps, out=best)
         cur[lo] = cur[hi + 2] = np.inf
+        stop = offs[k + 1]
+        if stop - base >= _STAGE_BITS or k == last:
+            planes[:, base >> 3 : stop >> 3] = np.packbits(
+                stage[:, : stop - base], axis=1, bitorder="little"
+            )
+            base = stop
+    del stage, up_bits, left_bits  # the walk reads only the planes
 
     # Walk back from the end following the stored predecessor bits.
-    bits = memoryview(codes)
+    up, left = map(memoryview, planes)
     path = []
-    k, i = tau_end - tau0, ei
+    k, i = last, ei
     while True:
         path.append((i, tau0 + k - i))
         if k == 0:
             break
-        c = bits[offs[k] + i - los[k]]
-        if c & _LEFT:
+        b = offs[k] + i - los[k]
+        byte, bit = b >> 3, b & 7
+        if (left[byte] >> bit) & 1:
             k -= 1
-        elif c & _UP:
+        elif (up[byte] >> bit) & 1:
             k -= 1
             i -= 1
         else:

@@ -1,8 +1,11 @@
 """Minimal-cost path DP against exhaustive enumeration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from toplag import zerotemp
 from toplag.errors import InvalidBoundaryError
 from toplag.ingest import AlignedPair
 from toplag.landscape import DistanceMode, build_landscape, layer_bounds
@@ -216,7 +219,89 @@ def _padded_row_path(l, start, end):
     return nodes, mapping, total
 
 
-def _assert_matches_reference(l, start=None, end=None, refs=(_reference_path, _padded_row_path)):
+# Third reference: optimal_path as it was written before the packed
+# bit-planes, with one uint8 backpointer per node in one flat buffer (bit 0:
+# (i-1, j) beats the diagonal; bit 1: (i, j-1) beats both).
+def _flat_layer_costs(l, tau, lo, hi, whole):
+    layer = l.layer(tau)
+    if whole:
+        return layer
+    glo, _ = layer_bounds(l.n, tau)
+    return layer[lo - glo : hi - glo + 1]
+
+
+def _flat_buffer_path(l, start, end):
+    n = l.n
+    si, sj = start
+    ei, ej = end
+
+    tau0 = si + sj
+    tau_end = ei + ej
+    taus = np.arange(tau0, tau_end + 1)
+    los = np.maximum(si, taus - ej)
+    his = np.minimum(ei, taus - sj)
+    offs = np.zeros(taus.size + 1, dtype=np.int64)
+    np.cumsum(his - los + 1, out=offs[1:])
+    whole = (los == np.maximum(0, taus - (n - 1))) & (his == np.minimum(taus, n - 1))
+    los, his, offs, whole = los.tolist(), his.tolist(), offs.tolist(), whole.tolist()
+
+    rows = list(np.full((3, n + 2), np.inf))
+    left = np.empty(n, dtype=np.uint8)
+    left_bits = left.view(bool)
+    codes = np.zeros(offs[-1], dtype=np.uint8)
+    up_bits = codes.view(bool)
+    for k, tau in enumerate(range(tau0, tau_end + 1)):
+        lo, hi = los[k], his[k]
+        eps = _flat_layer_costs(l, tau, lo, hi, whole[k])
+        cur = rows[k % 3]
+        best = cur[lo + 1 : hi + 2]
+        if k == 0:
+            best[:] = eps
+        else:
+            p1 = rows[(k - 1) % 3]
+            c_diag = rows[(k - 2) % 3][lo : hi + 1]
+            c_up = p1[lo : hi + 1]
+            c_left = p1[lo + 1 : hi + 2]
+            a, b = offs[k], offs[k + 1]
+            np.less(c_up, c_diag, out=up_bits[a:b])
+            np.minimum(c_diag, c_up, out=best)
+            np.less(c_left, best, out=left_bits[: b - a])
+            code, m = codes[a:b], left[: b - a]
+            np.add(code, m, out=code)
+            np.add(code, m, out=code)
+            np.minimum(best, c_left, out=best)
+            np.add(best, eps, out=best)
+        cur[lo] = cur[hi + 2] = np.inf
+
+    bits = memoryview(codes)
+    path = []
+    k, i = tau_end - tau0, ei
+    while True:
+        path.append((i, tau0 + k - i))
+        if k == 0:
+            break
+        c = bits[offs[k] + i - los[k]]
+        if c & _LEFT:
+            k -= 1
+        elif c & _UP:
+            k -= 1
+            i -= 1
+        else:
+            k -= 2
+            i -= 1
+    path.reverse()
+    nodes = np.array(path, dtype=np.int64)
+    total = float(np.sum(l.nodes(nodes[:, 0], nodes[:, 1])))
+
+    mapping = np.empty(ei - si + 1, dtype=np.int64)
+    for i, j in path:
+        mapping[i - si] = j
+    return nodes, mapping, total
+
+
+def _assert_matches_reference(
+    l, start=None, end=None, refs=(_reference_path, _padded_row_path, _flat_buffer_path)
+):
     n = l.n
     start = (0, 0) if start is None else start
     end = (n - 1, n - 1) if end is None else end
@@ -374,7 +459,81 @@ class TestMatchesReferenceRecursion:
         x = np.cumsum(rng.normal(size=5000))
         y = np.roll(x, 4) + 0.3 * rng.normal(size=5000)
         l = build_landscape(AlignedPair(x=x, y=y))
-        _assert_matches_reference(l, refs=(_padded_row_path,))
+        _assert_matches_reference(l, refs=(_padded_row_path, _flat_buffer_path))
+
+
+@pytest.fixture(params=[None, 8, 64], ids=["default", "stage8", "stage64"])
+def stage_bits(request, monkeypatch):
+    """Run under the default staging chunk, then with the bit-planes packed
+    after every layer (8 bits) and after every few layers (64 bits)."""
+    if request.param is not None:
+        monkeypatch.setattr(zerotemp, "_STAGE_BITS", request.param)
+    return request.param
+
+
+class TestPackedBackpointers:
+    def test_random_non_corner_anchors(self, stage_bits):
+        rng = np.random.default_rng(17)
+        for seed in range(40):
+            n = int(rng.integers(2, 40))
+            mode = DistanceMode.ALL[seed % len(DistanceMode.ALL)]
+            l = build_landscape(integer_pair(seed, n, high=3), mode=mode)
+            si, ei = np.sort(rng.integers(0, n, size=2))
+            sj, ej = np.sort(rng.integers(0, n, size=2))
+            _assert_matches_reference(l, (int(si), int(sj)), (int(ei), int(ej)))
+
+    def test_layer_widths_off_the_byte_grid(self, stage_bits):
+        # rectangles h x w whose widest layer, min(h, w), is every width
+        # from 1 to 19, so layer slots carry 0 to 7 padding bits
+        l = build_landscape(integer_pair(3, 24, high=2), mode="mixed")
+        for h in range(1, 20):
+            for w in (h, h + 3, 24):
+                _assert_matches_reference(l, (0, 24 - w), (h - 1, 23))
+                _assert_matches_reference(l, (24 - w, 0), (23, h - 1))
+
+    def test_degenerate_rectangles(self, stage_bits):
+        _assert_matches_reference(_Matrix([[3.0]]))
+        l = build_landscape(integer_pair(8, 13, high=2))
+        for start, end in (
+            ((5, 5), (5, 5)),  # start == end
+            ((0, 0), (0, 0)),
+            ((4, 0), (4, 12)),  # one row
+            ((0, 9), (12, 9)),  # one column
+            ((12, 3), (12, 12)),
+            ((1, 11), (2, 12)),
+        ):
+            _assert_matches_reference(l, start, end)
+
+    def test_tie_heavy_integer_pairs(self, stage_bits):
+        # costs in {0, 1, 2}, all zero for high=1: most nodes see ties
+        # between their predecessors
+        for seed in range(12):
+            for high in (1, 2, 3):
+                l = build_landscape(integer_pair(seed, 9 + 4 * seed, high=high))
+                _assert_matches_reference(l)
+
+    def test_full_lattice_n900_crosses_default_stage(self):
+        # 900^2 bits span about 12 default staging chunks
+        assert 900 * 900 > 10 * zerotemp._STAGE_BITS
+        _assert_matches_reference(build_landscape(random_pair(31, 900)))
+
+
+def test_backpointer_memory_below_half_byte_per_node():
+    # Two packed bits per node plus the fixed staging buffer and O(n) lists
+    # stay under n^2 / 2 bytes; one byte per node would hold n^2.
+    n = 2000
+    rng = np.random.default_rng(29)
+    x = np.cumsum(rng.normal(size=n))
+    y = np.roll(x, 6) + 0.3 * rng.normal(size=n)
+    l = build_landscape(AlignedPair(x=x, y=y))
+    optimal_path(l, end=(20, 20))
+    tracemalloc.start()
+    try:
+        optimal_path(l)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n / 2
 
 
 class TestConstantShift:
