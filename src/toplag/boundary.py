@@ -195,7 +195,7 @@ def _layers(l, starts, T, ends=None, budget=DEFAULT_MEMORY_BUDGET):
                 rep.restore(snaps.pop(b1))
             for k in range(b1 - b0):
                 rep.step()
-                buf[k] = rep.s1[:, ::-1].copy()
+                buf[k] = rep.s1[:, ::-1].copy(order="C")
             del rep
         for tau in range(b0, b1):
             fwd.step()
@@ -227,7 +227,8 @@ def _bridge_table(l, starts, ends, T, budget):
         eps = fwd.eps
         emax = float(eps.max())
         u = np.exp((eps - emax) / T)  # bridge weight carries exp(+eps/T)
-        fu = fwd.s1 * u[None, :]
+        # C order keeps BLAS on one summation order whatever s1's layout.
+        fu = np.multiply(fwd.s1, u[None, :], order="C")
         den = fu @ sb.T
         num = (fu * eps[None, :]) @ sb.T
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -248,8 +249,9 @@ def _forward_table(l, starts, ends, T):
     adm, tau_s, tau_e = _admissibility(starts, ends)
     q = np.zeros((len(starts), 2 * l.n - 1))
     for tau, fwd, _ in _layers(l, starts, T):
-        den = fwd.s1.sum(axis=1)
-        num = fwd.s1 @ fwd.eps
+        s1 = np.ascontiguousarray(fwd.s1)  # fixes the summation order
+        den = s1.sum(axis=1)
+        num = s1 @ fwd.eps
         alive = den > 0
         q[alive, tau] = num[alive] / den[alive]
         # A started field that underflowed to zero carries no weight on

@@ -10,7 +10,8 @@ Three cost modes are supported:
 
 Anti-diagonal layers tau = i + j are the natural sweep order for the path
 engines, so the landscape exposes per-layer cost vectors that are generated
-on demand; the full n x n matrix is only materialized for small lattices.
+on demand; the full n x n matrix is built only when asked for, and only for
+small lattices.
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import LatticeTooLargeError
 
-# Above this size the full cost matrix is not kept; layers are generated
+# Above this size the full cost matrix is refused; layers are generated
 # inside sweeps (n = 4096 is 128 MB of float64, the last comfortable size).
 MATERIALIZE_LIMIT = 4096
 
@@ -74,15 +75,16 @@ def layer_lags(n, tau):
 class EnergyLandscape:
     """Mismatch costs over the lattice, with on-demand layer access.
 
-    eps holds the dense matrix when the lattice is small enough to keep it;
-    otherwise it is None and entries are generated from the stored series.
-    A reversed copy of y (n doubles) makes each layer two forward slices.
+    Entries are generated from the stored series; a reversed copy of y
+    (n doubles) makes each layer two forward slices. eps is always None: no
+    dense matrix is kept. The field stays only because perfbench/spans.py
+    reads it to count dense-cache bytes.
     """
 
     x: np.ndarray
     y: np.ndarray
     mode: str
-    eps: np.ndarray | None = field(default=None, repr=False)
+    eps: None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.x = np.ascontiguousarray(self.x, dtype=np.float64)
@@ -125,9 +127,8 @@ class EnergyLandscape:
         return self._combine(self.x[lo : hi + 1], self._y_rev[r + lo : r + hi + 1])
 
     def full_matrix(self):
-        """Dense n x n cost matrix; refuses on lattices too large to hold."""
-        if self.eps is not None:
-            return self.eps
+        """Dense n x n cost matrix, built on each call; refuses on lattices
+        too large to hold."""
         if self.n > MATERIALIZE_LIMIT:
             raise LatticeTooLargeError(self.n, MATERIALIZE_LIMIT)
         return self._combine(self.x[:, None], self.y[None, :])
@@ -144,10 +145,6 @@ class EnergyLandscape:
 def build_landscape(pair, mode=DistanceMode.COMONOTONIC):
     """Build the mismatch landscape for an aligned pair.
 
-    pair may be an AlignedPair or any object with 1-d .x and .y arrays. The
-    dense matrix is kept for lattices up to MATERIALIZE_LIMIT.
+    pair may be an AlignedPair or any object with 1-d .x and .y arrays.
     """
-    l = EnergyLandscape(np.asarray(pair.x), np.asarray(pair.y), mode)
-    if l.n <= MATERIALIZE_LIMIT:
-        l.eps = l._combine(l.x[:, None], l.y[None, :])
-    return l
+    return EnergyLandscape(np.asarray(pair.x), np.asarray(pair.y), mode)

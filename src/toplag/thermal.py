@@ -59,17 +59,22 @@ class _StackedSweep:
                         unused.
 
     Only the three most recent layers are kept, in three rotating
-    (fields, n + 2) rows with node i at column i + 1. A layer writes its
-    weights at columns lo+1 .. hi+1 and sentinels of the domain's zero
-    weight (0 or -inf) at lo and hi+2. Layer bounds move by at most one per
-    layer, so the predecessor slices a step reads (columns lo .. hi+1 of
-    the previous row, lo .. hi of the one before) stay inside what those
-    layers wrote and never read a weight left from the layer a row held
-    three layers earlier; the sentinels stand for the nodes outside a
-    layer's extent. (With the full-lattice bounds the zero-weight fill of
-    fresh or restored rows already covers those cells; the sentinels keep
-    the step right for any bounds that step by at most one, such as a lag
-    band.)
+    node-major (n + 2, fields) rows with node i at row i + 1, so a layer and
+    each predecessor slice a step reads are single contiguous blocks; s1 is
+    a (fields, width) transposed view of its layer. A layer writes its
+    weights at rows lo+1 .. hi+1 and sentinels of the domain's zero weight
+    (0 or -inf) at lo and hi+2. Layer bounds move by at most one per layer,
+    so the predecessor slices a step reads (rows lo .. hi+1 of the previous
+    layer's block, lo .. hi of the one before) stay inside what those layers
+    wrote and never read a weight left from the layer a block held three
+    layers earlier; the sentinels stand for the nodes outside a layer's
+    extent. (With the full-lattice bounds the zero-weight fill of fresh or
+    restored rows already covers those cells; the sentinels keep the step
+    right for any bounds that step by at most one, such as a lag band.)
+
+    s1 is not C-contiguous. Reductions and matrix products round by memory
+    order, so a consumer that needs the bytes of a (fields, width) array
+    must copy it to C order first.
     """
 
     def __init__(self, l, seeds, temperature, log_domain=False):
@@ -91,7 +96,7 @@ class _StackedSweep:
             self.seed_by_tau.setdefault(i + j, []).append((f, i))
         # np.zeros leaves the pages of a linear sweep's rows unmapped until a
         # step writes them, which keeps the scan's peak memory down.
-        shape = (3, self.n_fields, self.n + 2)
+        shape = (3, self.n + 2, self.n_fields)
         self.rows = np.full(shape, -np.inf) if log_domain else np.zeros(shape)
         self.tau = -1
         self.s1 = None  # stored weights on layer tau, full layer extent
@@ -101,9 +106,10 @@ class _StackedSweep:
         self.eps = None  # landscape costs on layer tau
 
     def _layer(self, tau):
-        """Stored weights on a retained layer, over its full extent."""
+        """Stored weights on a retained layer, over its full extent, as a
+        (fields, width) view."""
         lo, hi = layer_bounds(self.n, tau)
-        return self.rows[tau % 3, :, lo + 1 : hi + 2]
+        return self.rows[tau % 3, lo + 1 : hi + 2].T
 
     def snapshot(self):
         """Copies of the two retained layers, over their full extents."""
@@ -142,43 +148,47 @@ class _StackedSweep:
         p1 = self.rows[(tau - 1) % 3]
         p2 = self.rows[(tau - 2) % 3]
         cur = self.rows[tau % 3]
-        raw = cur[:, lo + 1 : hi + 2]
+        raw = cur[lo + 1 : hi + 2]
         # predecessors (i, j-1) and (i-1, j) on layer tau-1, (i-1, j-1) on tau-2
         if self.log_domain:
-            np.logaddexp(p1[:, lo + 1 : hi + 2], p1[:, lo : hi + 1], out=raw)
-            np.logaddexp(raw, p2[:, lo : hi + 1], out=raw)
+            np.logaddexp(p1[lo + 1 : hi + 2], p1[lo : hi + 1], out=raw)
+            np.logaddexp(raw, p2[lo : hi + 1], out=raw)
             cost = eps / self.T
-            raw -= cost
+            raw -= cost[:, None]
             for f, i_seed in seeds:
-                raw[f, i_seed - lo] = -cost[i_seed - lo]
+                raw[i_seed - lo, f] = -cost[i_seed - lo]
         else:
             emin = float(eps.min())
             w = np.exp((emin - eps) / self.T)  # in (0, 1]
 
             log_max = np.maximum(self.log1, self.log2)
             base = np.where(np.isfinite(log_max), log_max, 0.0)
-            f1 = np.exp(self.log1 - base)[:, None]
-            f2 = np.exp(self.log2 - base)[:, None]
+            f1 = np.exp(self.log1 - base)
+            f2 = np.exp(self.log2 - base)
 
-            np.add(p1[:, lo + 1 : hi + 2], p1[:, lo : hi + 1], out=raw)
-            raw *= f1
-            raw += p2[:, lo : hi + 1] * f2
-            raw *= w
+            np.add(p1[lo + 1 : hi + 2], p1[lo : hi + 1], out=raw)
+            # f1 is at most 1. Once every field is seeded, the previous layer
+            # usually holds each field's larger scale and f1 is exactly 1,
+            # where the rescale changes no bit (x * 1.0 == x).
+            if f1.min() != 1.0:
+                raw *= f1
+            raw += p2[lo : hi + 1] * f2
+            raw *= w[:, None]
 
             log_pre = base - emin / self.T
             for f, i_seed in seeds:
-                raw[f, i_seed - lo] = w[i_seed - lo]
+                raw[i_seed - lo, f] = w[i_seed - lo]
 
             # A field with no weight left keeps zeros and a -inf log scale.
-            peak = raw.max(axis=1)
-            raw /= np.where(peak > 0, peak, 1.0)[:, None]
+            peak = raw.max(axis=0)
+            raw /= np.where(peak > 0, peak, 1.0)
             with np.errstate(divide="ignore"):
                 log_new = log_pre + np.log(peak)
             self.log2, self.log1 = self.log1, log_new
-        cur[:, lo] = self.zero
-        cur[:, hi + 2] = self.zero
+        cur[lo] = self.zero
+        cur[hi + 2] = self.zero
 
-        self.s1, self.lo1 = raw, lo
+        self.s1, self.lo1 = raw.T, lo
         self.eps = eps
         self.tau = tau
 

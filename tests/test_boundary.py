@@ -302,7 +302,9 @@ class TestScanMatchesReferenceSweep:
 # Reference scan: the score tables, winner paths and pair selection as they
 # were written before the sweeping moved into one layer generator, each with
 # its own scout, checkpoint and replay. select_optimal must reproduce their
-# results byte for byte.
+# results byte for byte. They run the live sweep, whose s1 is a transposed
+# view of node-major rows; the arithmetic is the original, on a C-order copy
+# of s1, because matrix products and row sums round by memory order.
 def _ref_log_layer_cost(sf_row, sb_row, eps, T):
     with np.errstate(divide="ignore"):
         lw = np.log(sf_row) + np.log(sb_row) + eps / T
@@ -360,7 +362,7 @@ def _ref_bridge_table(l, starts, ends, T, budget):
             eps = fwd.eps
             emax = float(eps.max())
             u = np.exp((eps - emax) / T)
-            fu = fwd.s1 * u[None, :]
+            fu = np.ascontiguousarray(fwd.s1) * u[None, :]
             den = fu @ sb.T
             num = (fu * eps[None, :]) @ sb.T
             with np.errstate(invalid="ignore", divide="ignore"):
@@ -389,8 +391,9 @@ def _ref_forward_table(l, starts, ends, T):
     for tau in range(n_layers):
         fwd.step()
         eps = fwd.eps
-        den = fwd.s1.sum(axis=1)
-        num = fwd.s1 @ eps
+        s1 = np.ascontiguousarray(fwd.s1)
+        den = s1.sum(axis=1)
+        num = s1 @ eps
         alive = den > 0
         q[alive, tau] = num[alive] / den[alive]
         q[~alive & (tau_s <= tau), tau] = np.inf

@@ -140,7 +140,7 @@ class TestAccessors:
         pair = random_pair(6, 10)
         dense = build_landscape(pair)
         lazy = EnergyLandscape(pair.x, pair.y, DistanceMode.COMONOTONIC)
-        assert dense.eps is not None and lazy.eps is None
+        assert dense.eps is None and lazy.eps is None
         for tau in range(2 * 10 - 1):
             assert np.array_equal(dense.layer(tau), lazy.layer(tau))
         assert np.array_equal(dense.full_matrix(), lazy.full_matrix())
@@ -177,5 +177,10 @@ class TestAccessors:
                 assert got.tobytes() == reference(l, tau).tobytes()
 
     def test_default_materialization_threshold(self):
+        # eps stays None at every size; full_matrix builds the matrix on
+        # each call.
         pair = random_pair(8, 12)
-        assert build_landscape(pair).eps is not None
+        l = build_landscape(pair)
+        assert l.eps is None
+        want = np.abs(l.x[:, None] - l.y[None, :])
+        assert l.full_matrix().tobytes() == want.tobytes()

@@ -146,6 +146,272 @@ class _ReferenceSweep:
         self.tau = tau
 
 
+# Reference sweep: _StackedSweep as it was written before its rows went
+# node-major, with feature-major (fields, n + 2) rows and an unconditional
+# rescale of the previous layer. The node-major sweep must reproduce its
+# layers, log scales and snapshots byte for byte in both number domains.
+class _FeatureMajorSweep:
+    """Forward transfer-matrix sweeps for several seed nodes at once.
+
+    Field f holds the path weights from seed f. Layers are produced in
+    order tau = 0, 1, ..., 2n-2 by step(); afterwards s1 is the current
+    layer over its full extent and eps its landscape costs. The number
+    domain is fixed at construction:
+
+      linear (default)  stored values are scaled so each field's layer
+                        maximum is 1, with true weights equal to
+                        stored * exp(log1[f]); a field with no weight left
+                        stores zeros and a -inf log scale.
+      log_domain=True   stored values are the true log weights, -inf
+                        where a field has no weight; log1 and log2 are
+                        unused.
+
+    Only the three most recent layers are kept, in three rotating
+    (fields, n + 2) rows with node i at column i + 1. A layer writes its
+    weights at columns lo+1 .. hi+1 and sentinels of the domain's zero
+    weight (0 or -inf) at lo and hi+2. Layer bounds move by at most one per
+    layer, so the predecessor slices a step reads (columns lo .. hi+1 of
+    the previous row, lo .. hi of the one before) stay inside what those
+    layers wrote and never read a weight left from the layer a row held
+    three layers earlier; the sentinels stand for the nodes outside a
+    layer's extent. (With the full-lattice bounds the zero-weight fill of
+    fresh or restored rows already covers those cells; the sentinels keep
+    the step right for any bounds that step by at most one, such as a lag
+    band.)
+    """
+
+    def __init__(self, l, seeds, temperature, log_domain=False):
+        if temperature <= 0:
+            raise ValueError("temperature must be positive")
+        self.l = l
+        self.n = l.n
+        self.T = float(temperature)
+        self.log_domain = log_domain
+        self.zero = -np.inf if log_domain else 0.0
+        self.n_fields = len(seeds)
+        self.seed_by_tau = {}
+        for f, (i, j) in enumerate(seeds):
+            i, j = int(i), int(j)
+            if not (0 <= i < self.n and 0 <= j < self.n):
+                raise InvalidBoundaryError(
+                    f"seed ({i}, {j}) outside the {self.n} x {self.n} lattice"
+                )
+            self.seed_by_tau.setdefault(i + j, []).append((f, i))
+        # np.zeros leaves the pages of a linear sweep's rows unmapped until a
+        # step writes them, which keeps the scan's peak memory down.
+        shape = (3, self.n_fields, self.n + 2)
+        self.rows = np.full(shape, -np.inf) if log_domain else np.zeros(shape)
+        self.tau = -1
+        self.s1 = None  # stored weights on layer tau, full layer extent
+        self.lo1 = 0
+        self.log1 = np.full(self.n_fields, -np.inf)
+        self.log2 = np.full(self.n_fields, -np.inf)  # layer tau - 1
+        self.eps = None  # landscape costs on layer tau
+
+    def _layer(self, tau):
+        """Stored weights on a retained layer, over its full extent."""
+        lo, hi = layer_bounds(self.n, tau)
+        return self.rows[tau % 3, :, lo + 1 : hi + 2]
+
+    def snapshot(self):
+        """Copies of the two retained layers, over their full extents."""
+        return {
+            "tau": self.tau,
+            "s1": None if self.s1 is None else self.s1.copy(),
+            "log1": self.log1.copy(),
+            "s2": self._layer(self.tau - 1).copy() if self.tau >= 1 else None,
+            "log2": self.log2.copy(),
+        }
+
+    def restore(self, snap):
+        self.rows[:] = self.zero
+        self.tau = tau = snap["tau"]
+        self.s1, self.lo1, self.eps = None, 0, None
+        if snap["s2"] is not None:
+            self._layer(tau - 1)[:] = snap["s2"]
+        if snap["s1"] is not None:
+            self.s1 = self._layer(tau)
+            self.s1[:] = snap["s1"]
+            self.lo1 = layer_bounds(self.n, tau)[0]
+        self.log1 = snap["log1"].copy()
+        self.log2 = snap["log2"].copy()
+
+    def step(self):
+        """Produce the next layer; afterwards s1/log1/lo1/eps describe it."""
+        tau = self.tau + 1
+        if tau > 2 * self.n - 2:
+            raise EmptyLayerError(tau)
+        lo, hi = layer_bounds(self.n, tau)
+        eps = self.l.layer(tau)
+        # A field's whole mass at its seed layer is the seed's own weight.
+        # Seeds are inside the lattice, so each lies on its layer's extent.
+        seeds = self.seed_by_tau.get(tau, ())
+
+        p1 = self.rows[(tau - 1) % 3]
+        p2 = self.rows[(tau - 2) % 3]
+        cur = self.rows[tau % 3]
+        raw = cur[:, lo + 1 : hi + 2]
+        # predecessors (i, j-1) and (i-1, j) on layer tau-1, (i-1, j-1) on tau-2
+        if self.log_domain:
+            np.logaddexp(p1[:, lo + 1 : hi + 2], p1[:, lo : hi + 1], out=raw)
+            np.logaddexp(raw, p2[:, lo : hi + 1], out=raw)
+            cost = eps / self.T
+            raw -= cost
+            for f, i_seed in seeds:
+                raw[f, i_seed - lo] = -cost[i_seed - lo]
+        else:
+            emin = float(eps.min())
+            w = np.exp((emin - eps) / self.T)  # in (0, 1]
+
+            log_max = np.maximum(self.log1, self.log2)
+            base = np.where(np.isfinite(log_max), log_max, 0.0)
+            f1 = np.exp(self.log1 - base)[:, None]
+            f2 = np.exp(self.log2 - base)[:, None]
+
+            np.add(p1[:, lo + 1 : hi + 2], p1[:, lo : hi + 1], out=raw)
+            raw *= f1
+            raw += p2[:, lo : hi + 1] * f2
+            raw *= w
+
+            log_pre = base - emin / self.T
+            for f, i_seed in seeds:
+                raw[f, i_seed - lo] = w[i_seed - lo]
+
+            # A field with no weight left keeps zeros and a -inf log scale.
+            peak = raw.max(axis=1)
+            raw /= np.where(peak > 0, peak, 1.0)[:, None]
+            with np.errstate(divide="ignore"):
+                log_new = log_pre + np.log(peak)
+            self.log2, self.log1 = self.log1, log_new
+        cur[:, lo] = self.zero
+        cur[:, hi + 2] = self.zero
+
+        self.s1, self.lo1 = raw, lo
+        self.eps = eps
+        self.tau = tau
+
+
+def _layer_state(sweep):
+    """The bytes of what a sweep publishes about its current layer."""
+    return (
+        sweep.tau,
+        sweep.lo1,
+        None if sweep.s1 is None else (sweep.s1.shape, sweep.s1.tobytes()),
+        sweep.log1.tobytes(),
+        None if sweep.eps is None else sweep.eps.tobytes(),
+    )
+
+
+def _snapshot_state(snap):
+    def state(v):
+        if isinstance(v, np.ndarray):
+            return v.shape, v.flags.c_contiguous, v.tobytes()
+        return v
+
+    return {k: state(v) for k, v in snap.items()}
+
+
+def _rescale_factors(sweep):
+    """f1 of the sweep's next linear step: exp(log1 - max(log1, log2))."""
+    log_max = np.maximum(sweep.log1, sweep.log2)
+    base = np.where(np.isfinite(log_max), log_max, 0.0)
+    return np.exp(sweep.log1 - base)
+
+
+def _assert_matches_feature_major(l, seeds, T, log_domain):
+    """Step both sweeps over every layer; returns, per step once every field
+    is seeded, whether that step rescaled the previous layer (f1 < 1)."""
+    ref = _FeatureMajorSweep(l, seeds, T, log_domain=log_domain)
+    sweep = _StackedSweep(l, seeds, T, log_domain=log_domain)
+    seeded = max(i + j for i, j in seeds)
+    rescaled = []
+    for tau in range(2 * l.n - 1):
+        if tau > seeded:
+            rescaled.append(not (_rescale_factors(ref) == 1.0).all())
+        ref.step()
+        sweep.step()
+        assert _layer_state(sweep) == _layer_state(ref)
+    return rescaled
+
+
+DOMAINS = pytest.mark.parametrize("log_domain", [False, True], ids=["linear", "log"])
+
+
+class TestNodeMajorSweepMatchesFeatureMajor:
+    @DOMAINS
+    @pytest.mark.parametrize("T", [2.0, 0.01])
+    def test_seeds_on_different_layers(self, log_domain, T):
+        n = 15
+        l = build_landscape(random_pair(4, n, scale=3.0))
+        seeds = [(0, 0), (n - 1, n - 1), (0, n - 1), (n - 1, 0), (4, 9), (7, 2), (0, 3)]
+        _assert_matches_feature_major(l, seeds, T, log_domain)
+
+    @DOMAINS
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_tiny_lattices(self, log_domain, n):
+        l = build_landscape(random_pair(5, n, scale=3.0))
+        corners = [(0, 0), (n - 1, n - 1), (0, n - 1), (n - 1, 0)]
+        for T in (2.0, 0.01):
+            _assert_matches_feature_major(l, corners, T, log_domain)
+
+    @DOMAINS
+    def test_boundary_fan_on_reflected_landscape(self, log_domain):
+        n = 40
+        l = build_landscape(random_pair(6, n, scale=3.0)).reflected()
+        fan = [(i, 0) for i in range(6)] + [(0, i) for i in range(1, 6)]
+        _assert_matches_feature_major(l, fan, 2.0, log_domain)
+
+    def test_both_rescale_branches_after_seeding(self):
+        # The node-major step skips the rescale of the previous layer when
+        # every f1 is exactly 1. A seeded field whose layer scale falls
+        # (a run of costly layers) forces f1 < 1 and the full rescale; on
+        # this landscape both happen after the last seed is in.
+        n = 30
+        x = np.zeros(n)
+        x[12:18] = 6.0
+        l = build_landscape(AlignedPair(x=x, y=np.zeros(n)))
+        seeds = [(0, 0), (2, 0), (0, 2)]
+        rescaled = _assert_matches_feature_major(l, seeds, 2.0, False)
+        assert any(rescaled) and not all(rescaled)
+
+    @DOMAINS
+    @pytest.mark.parametrize("T", [2.0, 0.01])
+    def test_restore_into_dirty_rows(self, log_domain, T):
+        n = 20
+        l = build_landscape(random_pair(7, n, scale=3.0))
+        seeds = [(0, 0), (3, 0), (0, 5), (9, 9)]
+        ref = _FeatureMajorSweep(l, seeds, T, log_domain=log_domain)
+        a = _StackedSweep(l, seeds, T, log_domain=log_domain)
+        for _ in range(13):
+            ref.step()
+            a.step()
+        snap = a.snapshot()
+        assert _snapshot_state(snap) == _snapshot_state(ref.snapshot())
+        b = _StackedSweep(l, seeds, T, log_domain=log_domain)
+        for _ in range(29):  # leaves weights of later layers in every row
+            b.step()
+        b.restore(snap)
+        # restore() leaves eps unset until the next step
+        assert _layer_state(b)[:4] == _layer_state(a)[:4]
+        for _ in range(13, 2 * n - 1):
+            ref.step()
+            b.step()
+            assert _layer_state(b) == _layer_state(ref)
+
+    @DOMAINS
+    def test_snapshot_orientation(self, log_domain):
+        n = 10
+        l = build_landscape(random_pair(8, n))
+        seeds = [(0, 0), (1, 0), (0, 2)]
+        ref = _FeatureMajorSweep(l, seeds, 2.0, log_domain=log_domain)
+        sweep = _StackedSweep(l, seeds, 2.0, log_domain=log_domain)
+        for _ in range(2 * n - 1):
+            # (fields, width) copies in C order, as the checkpoints always were
+            assert _snapshot_state(sweep.snapshot()) == _snapshot_state(ref.snapshot())
+            ref.step()
+            sweep.step()
+
+
 def delannoy_table(m):
     d = np.zeros((m, m), dtype=np.int64)
     d[0, :] = 1
