@@ -26,15 +26,15 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from . import __version__
-from .boundary import DEFAULT_MEMORY_BUDGET, enumerate_boundaries, select_optimal
+from .boundary import DEFAULT_MEMORY_BUDGET, select_optimal
 from .consistency import resample_lag_to_time, run_consistency
 from .errors import ToplagError
-from .ingest import parse_csv, slice_pair, standardize, synchronize
+from .ingest import AlignedPair, parse_csv, slice_pair, standardize, synchronize
 from .landscape import DistanceMode, build_landscape
 from .synth import LagScenario, brute_force_thermal, generate
 from .thermal import backward_weights, forward_weights, thermal_average
@@ -169,21 +169,16 @@ def _grid_text(pair):
 
 
 def _load_pair(cfg):
-    sx = parse_csv(
-        cfg.x_csv,
-        cfg.time_col,
-        cfg.value_col,
-        time_format=cfg.time_format,
-        skip_bad_rows=cfg.skip_bad_rows,
-        label="x",
-    )
-    sy = parse_csv(
-        cfg.y_csv,
-        cfg.time_col,
-        cfg.value_col,
-        time_format=cfg.time_format,
-        skip_bad_rows=cfg.skip_bad_rows,
-        label="y",
+    sx, sy = (
+        parse_csv(
+            path,
+            cfg.time_col,
+            cfg.value_col,
+            time_format=cfg.time_format,
+            skip_bad_rows=cfg.skip_bad_rows,
+            label=label,
+        )
+        for path, label in ((cfg.x_csv, "x"), (cfg.y_csv, "y"))
     )
     pair = synchronize(sx, sy)
     if cfg.start is not None or cfg.end is not None:
@@ -199,16 +194,15 @@ def _load_pair(cfg):
     return pair, meta
 
 
-def _hard_result(l):
-    path = optimal_path(l)
-    taus = path.taus
-    lags = path.lags
-    costs = l.nodes(path.nodes[:, 0], path.nodes[:, 1])
-    return path, taus, lags, costs
+def _make_dir(path):
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        _fail("output", exc, 6)
 
 
 def _analyze_core(cfg, pair, meta):
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _make_dir(cfg.out_dir)
     if cfg.temperature > 5:
         print(HIGH_TEMPERATURE_NOTE.format(t=cfg.temperature), file=sys.stderr)
 
@@ -223,12 +217,14 @@ def _analyze_core(cfg, pair, meta):
             )
     except ToplagError as exc:
         _fail("landscape", exc, 4)
+    except OSError as exc:
+        _fail("output", exc, 6)
 
-    result = {}
     try:
         if cfg.temperature == 0:
-            path, taus, lags, costs = _hard_result(l)
-            path_cols = [taus, lags, path.nodes[:, 0], costs]
+            path = optimal_path(l)
+            taus, lags = path.taus, path.lags
+            costs = l.nodes(*path.nodes.T)
             result = {
                 "mode": "hard",
                 "temperature": 0.0,
@@ -238,12 +234,8 @@ def _analyze_core(cfg, pair, meta):
                 "energy": path.total_energy / len(path.nodes),
                 "log_partition": None,
                 "runner_up_gap": None,
-                "lag_mean_min": float(lags.min()),
-                "lag_mean_max": float(lags.max()),
                 "boundary_depth": None,
             }
-            resample_args = (taus, lags)
-            selection = None
         else:
             selection = select_optimal(
                 l,
@@ -253,13 +245,7 @@ def _analyze_core(cfg, pair, meta):
                 memory_budget=cfg.memory_budget,
             )
             best = selection.best
-            taus = best.taus
-            path_cols = [
-                taus,
-                best.mean_lag,
-                (taus - best.mean_lag) / 2.0,
-                best.layer_cost,
-            ]
+            taus, lags, costs = best.taus, best.mean_lag, best.layer_cost
             table = selection.energy_table
             adm = ~np.isnan(table)
             result = {
@@ -271,8 +257,6 @@ def _analyze_core(cfg, pair, meta):
                 "energy": best.energy,
                 "log_partition": best.log_partition,
                 "runner_up_gap": selection.runner_up_gap,
-                "lag_mean_min": float(best.mean_lag.min()),
-                "lag_mean_max": float(best.mean_lag.max()),
                 "boundary_depth": cfg.boundary_depth,
                 "table_min": float(np.nanmin(table)),
                 "table_max": float(np.nanmax(table[np.isfinite(table)])),
@@ -280,25 +264,28 @@ def _analyze_core(cfg, pair, meta):
                 "inadmissible_pairs": int(selection.inadmissible),
                 "underflowed_pairs": int(selection.underflowed),
             }
-            resample_args = (best.taus, best.mean_lag)
+            if cfg.dump_energy_table:
+                _write_csv(
+                    os.path.join(cfg.out_dir, "energy_table.csv"),
+                    ["start"] + [f"{i}:{j}" for i, j in selection.end_nodes],
+                    [[f"{i}:{j}" for i, j in selection.start_nodes]] + list(table.T),
+                )
+        result["lag_mean_min"] = float(lags.min())
+        result["lag_mean_max"] = float(lags.max())
 
+        # On the hard path t1 = (tau - lag) / 2 is the row index i, exactly.
         _write_csv(
             os.path.join(cfg.out_dir, "path.csv"),
             ["tau", "mean_lag", "t1", "layer_cost"],
-            path_cols,
+            [taus, lags, (taus - lags) / 2.0, costs],
         )
-        if cfg.dump_energy_table and selection is not None:
-            _write_csv(
-                os.path.join(cfg.out_dir, "energy_table.csv"),
-                ["start"] + [f"{i}:{j}" for i, j in selection.end_nodes],
-                [[f"{i}:{j}" for i, j in selection.start_nodes]]
-                + list(selection.energy_table.T),
-            )
     except ToplagError as exc:
         _fail("path-engine", exc, 5)
+    except OSError as exc:
+        _fail("output", exc, 6)
 
     try:
-        t_index, lag_at_t = resample_lag_to_time(*resample_args, pair.n)
+        t_index, lag_at_t = resample_lag_to_time(taus, lags, pair.n)
         grid_text = _grid_text(pair)
         _write_csv(
             os.path.join(cfg.out_dir, "lag_by_time.csv"),
@@ -345,47 +332,41 @@ def _analyze_core(cfg, pair, meta):
     return summary
 
 
-def run_analysis(cfg):
-    """Programmatic entry point for one analyze run; returns the summary."""
+def _prepare(cfg, temperatures=()):
+    """Validate a run (exit 4) and load its aligned pair (exit 3). A scan
+    passes its temperatures, which must be positive and name distinct run
+    directories."""
     try:
         cfg.validate()
+        if any(t <= 0 for t in temperatures):
+            raise ValueError("scan temperatures must be positive")
+        names = [f"T_{t:g}" for t in temperatures]
+        shared = ", ".join(sorted({d for d in names if names.count(d) > 1}))
+        if shared:
+            raise ValueError(f"more than one scan temperature writes to {shared}")
     except ValueError as exc:
         _fail("config", exc, 4)
     try:
-        pair, meta = _load_pair(cfg)
-    except FileNotFoundError as exc:
+        return _load_pair(cfg)
+    except (FileNotFoundError, ToplagError) as exc:
         _fail("ingest", exc, 3)
-    except ToplagError as exc:
-        _fail("ingest", exc, 3)
-    return _analyze_core(cfg, pair, meta)
 
 
-def _config_from_args(args, out_dir=None):
-    return AnalysisConfig(
-        x_csv=args.x_csv,
-        y_csv=args.y_csv,
-        out_dir=out_dir if out_dir is not None else args.out,
-        time_col=args.time_col,
-        value_col=args.value_col,
-        time_format=args.time_format,
-        skip_bad_rows=args.skip_bad_rows,
-        start=args.start,
-        end=args.end,
-        standardize=not args.no_standardize,
-        distance=args.distance,
-        temperature=getattr(args, "temperature", 2.0),
-        mode=args.mode,
-        boundary_depth=args.boundary_depth,
-        window=args.window,
-        alpha=args.alpha,
-        dump_landscape=args.dump_landscape,
-        dump_energy_table=args.dump_energy_table,
-        memory_budget=args.memory_budget,
-    )
+def run_analysis(cfg):
+    """Programmatic entry point for one analyze run; returns the summary."""
+    return _analyze_core(cfg, *_prepare(cfg))
+
+
+def _from_args(cls, args):
+    """cls built from the parsed options named like its fields. The parsers
+    leave an option they were not given out of args, so its field keeps the
+    dataclass default."""
+    names = {f.name for f in fields(cls)}
+    return cls(**{k: v for k, v in vars(args).items() if k in names})
 
 
 def cmd_analyze(args):
-    run_analysis(_config_from_args(args))
+    run_analysis(_from_args(AnalysisConfig, args))
     return 0
 
 
@@ -397,54 +378,18 @@ def cmd_scan_temperature(args):
             file=sys.stderr,
         )
         raise SystemExit(2)
-    try:
-        base = _config_from_args(args, out_dir=args.out)
-        base.validate()
-        for t in temperatures:
-            if t <= 0:
-                raise ValueError("scan temperatures must be positive")
-    except ValueError as exc:
-        _fail("config", exc, 4)
-    try:
-        pair, meta = _load_pair(base)
-    except FileNotFoundError as exc:
-        _fail("ingest", exc, 3)
-    except ToplagError as exc:
-        _fail("ingest", exc, 3)
-
-    os.makedirs(args.out, exist_ok=True)
+    base = _from_args(AnalysisConfig, args)
+    pair, meta = _prepare(base, temperatures)
+    keys = ["energy", "lag_mean_min", "lag_mean_max", "runner_up_gap"]
     rows = []
     for t in temperatures:
-        sub = os.path.join(args.out, f"T_{t:g}")
-        cfg = replace(base, temperature=float(t), out_dir=sub)
-        summary = _analyze_core(cfg, pair, meta)
-        r = summary["result"]
-        rows.append(
-            (
-                t,
-                r["start"][0],
-                r["start"][1],
-                r["end"][0],
-                r["end"][1],
-                r["energy"],
-                r["lag_mean_min"],
-                r["lag_mean_max"],
-                r["runner_up_gap"] if r["runner_up_gap"] is not None else float("nan"),
-            )
-        )
+        sub = os.path.join(base.out_dir, f"T_{t:g}")
+        cfg = replace(base, temperature=t, out_dir=sub)
+        r = _analyze_core(cfg, pair, meta)["result"]
+        rows.append((t, *r["start"], *r["end"], *(r[k] for k in keys)))
     _write_csv(
-        os.path.join(args.out, "sweep_summary.csv"),
-        [
-            "temperature",
-            "start_i",
-            "start_j",
-            "end_i",
-            "end_j",
-            "energy",
-            "lag_mean_min",
-            "lag_mean_max",
-            "runner_up_gap",
-        ],
+        os.path.join(base.out_dir, "sweep_summary.csv"),
+        ["temperature", "start_i", "start_j", "end_i", "end_j", *keys],
         list(zip(*rows)),
     )
     return 0
@@ -452,31 +397,17 @@ def cmd_scan_temperature(args):
 
 def cmd_synth(args):
     try:
-        scenario = LagScenario(
-            kind=args.kind,
-            n=args.n,
-            seed=args.seed,
-            k=args.k,
-            k2=args.k2,
-            switch_index=args.switch_index,
-            amplitude=args.amplitude,
-            period=args.period,
-            driver=args.driver,
-            rho=args.rho,
-            sigma_step=args.sigma_step,
-            noise_sigma=args.noise_sigma,
-        )
-        pair, lag = generate(scenario)
+        pair, lag = generate(_from_args(LagScenario, args))
     except ToplagError as exc:
         _fail("synth", exc, 4)
-    os.makedirs(args.out, exist_ok=True)
+    _make_dir(args.out_dir)
     _write_csv(
-        os.path.join(args.out, "pair.csv"),
+        os.path.join(args.out_dir, "pair.csv"),
         ["time", "x", "y"],
         [pair.grid, pair.x, pair.y],
     )
     _write_csv(
-        os.path.join(args.out, "true_lag.csv"),
+        os.path.join(args.out_dir, "true_lag.csv"),
         ["time", "lag"],
         [pair.grid, lag],
     )
@@ -484,16 +415,14 @@ def cmd_synth(args):
 
 
 def cmd_oracle(args):
-    from .ingest import AlignedPair
-
     n = args.size
     if n < 2 or n > 10:
         _fail("config", ValueError("oracle size must be in [2, 10]"), 4)
     rng = np.random.default_rng(args.seed)
     pair = AlignedPair(x=rng.normal(size=n), y=rng.normal(size=n))
     l = build_landscape(pair, mode=DistanceMode.canonical(args.distance))
-    start = tuple(args.start)
-    end = tuple(args.end) if args.end is not None else (n - 1, n - 1)
+    start = args.start
+    end = args.end if args.end is not None else (n - 1, n - 1)
     T = args.temperature
     try:
         fwd = forward_weights(l, start, T)
@@ -527,15 +456,26 @@ def cmd_oracle(args):
     return 0 if ok else 1
 
 
+def node(text):
+    """A lattice node written i,j: exactly two integers."""
+    i, j = (int(v) for v in text.split(","))
+    return i, j
+
+
+# The analyze, scan-temperature and synth parsers leave out every option
+# that is not given (argument_default=SUPPRESS), and each option's dest is
+# the AnalysisConfig or LagScenario field it sets, so every default is
+# written once, in its dataclass.
 def _add_io_options(p):
     p.add_argument("x_csv", help="CSV file of the first (leading-candidate) series")
     p.add_argument("y_csv", help="CSV file of the second series")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--time-col", default="time", help="timestamp column name")
-    p.add_argument("--value-col", default="value", help="value column name")
+    p.add_argument(
+        "--out", dest="out_dir", metavar="OUT", required=True, help="output directory"
+    )
+    p.add_argument("--time-col", help="timestamp column name")
+    p.add_argument("--value-col", help="value column name")
     p.add_argument(
         "--time-format",
-        default=None,
         help="strptime format for timestamps (default: integers or ISO 8601)",
     )
     p.add_argument(
@@ -543,11 +483,12 @@ def _add_io_options(p):
         action="store_true",
         help="drop unparseable rows instead of failing",
     )
-    p.add_argument("--start", default=None, help="keep samples at or after this time")
-    p.add_argument("--end", default=None, help="keep samples at or before this time")
+    p.add_argument("--start", help="keep samples at or after this time")
+    p.add_argument("--end", help="keep samples at or before this time")
     p.add_argument(
         "--no-standardize",
-        action="store_true",
+        dest="standardize",
+        action="store_false",
         help="skip per-series rescaling to zero mean, unit variance",
     )
 
@@ -555,26 +496,19 @@ def _add_io_options(p):
 def _add_engine_options(p):
     p.add_argument(
         "--distance",
-        default="minus",
         choices=["minus", "plus", "mixed"],
         help="node cost: |x-y|, |x+y|, or the minimum of the two",
     )
     p.add_argument(
         "--mode",
-        default="bridge",
         choices=["bridge", "forward"],
         help="condition paths on both anchors, or weigh forward only",
     )
     p.add_argument(
-        "--boundary-depth",
-        type=int,
-        default=20,
-        help="fan depth of candidate start/end nodes",
+        "--boundary-depth", type=int, help="fan depth of candidate start/end nodes"
     )
-    p.add_argument("--window", type=int, default=20, help="consistency window length")
-    p.add_argument(
-        "--alpha", type=float, default=0.05, help="significance level for windows"
-    )
+    p.add_argument("--window", type=int, help="consistency window length")
+    p.add_argument("--alpha", type=float, help="significance level for windows")
     p.add_argument(
         "--dump-landscape",
         action="store_true",
@@ -588,7 +522,6 @@ def _add_engine_options(p):
     p.add_argument(
         "--memory-budget",
         type=int,
-        default=DEFAULT_MEMORY_BUDGET,
         help="bytes of sweep state the grid search may hold",
     )
 
@@ -601,20 +534,20 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"toplag {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="run the full pipeline on two CSV series")
+    def add(name, help):
+        return sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+
+    p = add("analyze", "run the full pipeline on two CSV series")
     _add_io_options(p)
     _add_engine_options(p)
     p.add_argument(
         "--temperature",
         type=float,
-        default=2.0,
         help="path temperature; 0 selects the single minimal path",
     )
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser(
-        "scan-temperature", help="run analyze over several temperatures"
-    )
+    p = add("scan-temperature", "run analyze over several temperatures")
     _add_io_options(p)
     _add_engine_options(p)
     p.add_argument(
@@ -625,8 +558,12 @@ def build_parser():
     )
     p.set_defaults(func=cmd_scan_temperature)
 
-    p = sub.add_parser("synth", help="generate a synthetic pair with known lag")
-    p.add_argument("--out", required=True, help="output directory")
+    # LagScenario has no default for kind, n and seed, so these three keep
+    # theirs here.
+    p = add("synth", "generate a synthetic pair with known lag")
+    p.add_argument(
+        "--out", dest="out_dir", metavar="OUT", required=True, help="output directory"
+    )
     p.add_argument(
         "--kind",
         default="constant",
@@ -634,15 +571,15 @@ def build_parser():
     )
     p.add_argument("--n", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k", type=int, default=0, help="lag (first lag for step)")
-    p.add_argument("--k2", type=int, default=0, help="second lag for step")
-    p.add_argument("--switch-index", type=int, default=0)
-    p.add_argument("--amplitude", type=float, default=0.0)
-    p.add_argument("--period", type=float, default=64.0)
-    p.add_argument("--driver", default="walk", choices=["walk", "ar1"])
-    p.add_argument("--rho", type=float, default=0.95)
-    p.add_argument("--sigma-step", type=float, default=1.0)
-    p.add_argument("--noise-sigma", type=float, default=0.0)
+    p.add_argument("--k", type=int, help="lag (first lag for step)")
+    p.add_argument("--k2", type=int, help="second lag for step")
+    p.add_argument("--switch-index", type=int)
+    p.add_argument("--amplitude", type=float)
+    p.add_argument("--period", type=float)
+    p.add_argument("--driver", choices=["walk", "ar1"])
+    p.add_argument("--rho", type=float)
+    p.add_argument("--sigma-step", type=float)
+    p.add_argument("--noise-sigma", type=float)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser(
@@ -655,17 +592,9 @@ def build_parser():
     p.add_argument(
         "--distance", default="minus", choices=["minus", "plus", "mixed"]
     )
+    p.add_argument("--start", type=node, default=(0, 0), help="start node as i,j")
     p.add_argument(
-        "--start",
-        type=lambda s: [int(v) for v in s.split(",")],
-        default=[0, 0],
-        help="start node as i,j",
-    )
-    p.add_argument(
-        "--end",
-        type=lambda s: [int(v) for v in s.split(",")],
-        default=None,
-        help="end node as i,j (default: far corner)",
+        "--end", type=node, default=None, help="end node as i,j (default: far corner)"
     )
     p.add_argument("--tolerance", type=float, default=1e-9)
     p.set_defaults(func=cmd_oracle)

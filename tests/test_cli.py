@@ -4,12 +4,14 @@ import csv
 import json
 import math
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from toplag.cli import _grid_text, _write_csv, main
+from toplag.cli import AnalysisConfig, _grid_text, _json_ready, _write_csv, main
 from toplag.ingest import AlignedPair
+from toplag.synth import LagScenario, generate
 
 
 def run(argv):
@@ -48,6 +50,18 @@ class TestSynth:
         x = np.array([float(r["x"]) for r in pair])
         y = np.array([float(r["y"]) for r in pair])
         assert np.array_equal(y[5:], x[:-5])
+
+    def test_defaults_are_lag_scenario_defaults(self, tmp_path):
+        assert run(["synth", "--out", str(tmp_path / "got")]) == 0
+        pair, lag = generate(LagScenario("constant", 500, 0))
+        os.makedirs(tmp_path / "want")
+        _write_csv(tmp_path / "want" / "pair.csv", ["time", "x", "y"],
+                   [pair.grid, pair.x, pair.y])
+        _write_csv(tmp_path / "want" / "true_lag.csv", ["time", "lag"],
+                   [pair.grid, lag])
+        for f in ("pair.csv", "true_lag.csv"):
+            got, want = (tmp_path / d / f for d in ("got", "want"))
+            assert got.read_bytes() == want.read_bytes()
 
     def test_rejects_bad_scenario(self, tmp_path):
         with pytest.raises(SystemExit) as e:
@@ -167,14 +181,10 @@ class TestAnalyze:
 
     def test_summary_records_every_parameter(self, tmp_path):
         x_csv, y_csv, _ = make_inputs(tmp_path, kind="constant", n=60, k=1, seed=10)
-        out = tmp_path / "run"
-        assert run(["analyze", x_csv, y_csv, "--out", str(out)]) == 0
-        cfg = json.loads((out / "summary.json").read_text())["config"]
-        for key in (
-            "temperature", "distance", "mode", "boundary_depth", "window",
-            "alpha", "standardize", "memory_budget",
-        ):
-            assert key in cfg
+        out = str(tmp_path / "run")
+        assert run(["analyze", x_csv, y_csv, "--out", out]) == 0
+        cfg = json.loads((tmp_path / "run" / "summary.json").read_text())["config"]
+        assert cfg == _json_ready(asdict(AnalysisConfig(x_csv, y_csv, out)))
 
 
 class TestDeterminism:
@@ -210,6 +220,30 @@ class TestScanTemperature:
         rows = read_csv(out / "sweep_summary.csv")
         assert [r["temperature"] for r in rows] == ["1", "2"]
 
+    def test_runs_use_analysis_config_defaults(self, tmp_path):
+        x_csv, y_csv, _ = make_inputs(tmp_path, kind="constant", n=60, k=1, seed=16)
+        out = tmp_path / "sweep"
+        argv = ["scan-temperature", x_csv, y_csv, "--out", str(out)]
+        assert run(argv + ["--temperatures", "1,3"]) == 0
+        for t in (1.0, 3.0):
+            sub = out / f"T_{t:g}"
+            cfg = json.loads((sub / "summary.json").read_text())["config"]
+            want = AnalysisConfig(x_csv, y_csv, str(sub), temperature=t)
+            assert cfg == _json_ready(asdict(want))
+
+    @pytest.mark.parametrize("temps", ["1.0000001,1.0000002", "1,1", "0.5,2,2.0"])
+    def test_temperatures_sharing_a_run_directory_are_refused(
+        self, tmp_path, capsys, temps
+    ):
+        x_csv, y_csv, _ = make_inputs(tmp_path, kind="constant", n=60, k=1, seed=17)
+        out = tmp_path / "sweep"
+        with pytest.raises(SystemExit) as e:
+            run(["scan-temperature", x_csv, y_csv, "--out", str(out),
+                 "--temperatures", temps])
+        assert e.value.code == 4
+        assert ("T_2" if "2,2" in temps else "T_1") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_temperature_is_usage_error(self, tmp_path):
         x_csv, y_csv, _ = make_inputs(tmp_path, kind="constant", n=60, k=1, seed=13)
         with pytest.raises(SystemExit) as e:
@@ -228,6 +262,15 @@ class TestOracleCommand:
         out = capsys.readouterr().out
         assert "agreement" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize(
+        "argv", [["--start", "1"], ["--start", "1,2,3"], ["--end", "6"]]
+    )
+    def test_node_that_is_not_two_integers_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as e:
+            run(["oracle", "--size", "7"] + argv)
+        assert e.value.code == 2
+        assert "invalid node value" in capsys.readouterr().err
 
     def test_size_bounds(self):
         with pytest.raises(SystemExit) as e:
@@ -261,6 +304,52 @@ class TestExitCodes:
                 ]
             )
         assert e.value.code == 4
+
+    @pytest.mark.parametrize("command", ["analyze", "scan-temperature", "synth"])
+    def test_out_that_is_a_file_exits_6(self, tmp_path, capsys, command):
+        x_csv, y_csv, _ = make_inputs(tmp_path, kind="constant", n=60, k=1, seed=18)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory\n")
+        argv = {
+            "analyze": ["analyze", x_csv, y_csv],
+            "scan-temperature": ["scan-temperature", x_csv, y_csv,
+                                 "--temperatures", "1,2"],
+            "synth": ["synth", "--n", "60"],
+        }[command]
+        with pytest.raises(SystemExit) as e:
+            run(argv + ["--out", str(blocker)])
+        assert e.value.code == 6
+        assert capsys.readouterr().err.startswith("toplag: output: ")
+        assert blocker.read_text() == "not a directory\n"
+
+    def test_scan_run_directory_that_is_a_file_exits_6(self, tmp_path, capsys):
+        x_csv, y_csv, _ = make_inputs(tmp_path, kind="constant", n=60, k=1, seed=19)
+        out = tmp_path / "sweep"
+        out.mkdir()
+        (out / "T_2").write_text("")
+        with pytest.raises(SystemExit) as e:
+            run(["scan-temperature", x_csv, y_csv, "--out", str(out),
+                 "--temperatures", "1,2"])
+        assert e.value.code == 6
+        assert "T_2" in capsys.readouterr().err
+        assert (out / "T_1" / "summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "blocked, flags",
+        [("landscape.csv", ["--dump-landscape"]), ("path.csv", []),
+         ("energy_table.csv", ["--dump-energy-table"]), ("summary.json", [])],
+    )
+    def test_output_file_that_cannot_be_written_exits_6(
+        self, tmp_path, capsys, blocked, flags
+    ):
+        x_csv, y_csv, _ = make_inputs(tmp_path, kind="constant", n=40, k=1, seed=20)
+        out = tmp_path / "run"
+        (out / blocked).mkdir(parents=True)
+        with pytest.raises(SystemExit) as e:
+            run(["analyze", x_csv, y_csv, "--out", str(out), "--boundary-depth", "4"]
+                + flags)
+        assert e.value.code == 6
+        assert capsys.readouterr().err.startswith("toplag: output: ")
 
     def test_negative_temperature_rejected(self, tmp_path):
         x_csv, y_csv, _ = make_inputs(tmp_path, kind="constant", n=60, k=1, seed=15)
