@@ -27,7 +27,9 @@ function for both modes.
 
 Stored-scale factors cancel inside each layer's cost ratio, so the matrix
 products need no log bookkeeping; pairs whose products underflow fall back
-to an explicit log-space evaluation of that layer.
+to an explicit log-space evaluation of that layer. The products' terms are
+lifted by an exact power of two, which keeps them out of the subnormal range
+(slow on many CPUs) without changing a ratio's bytes.
 """
 
 import math
@@ -40,10 +42,16 @@ from .errors import (
     EmptyLayerError,
     NoAdmissiblePairError,
 )
-from .landscape import layer_bounds, layer_lags
-from .thermal import LagPath, _StackedSweep
+from .landscape import layer_bounds
+from .thermal import LagPath, _StackedSweep, _check_temperature
 
 DEFAULT_MEMORY_BUDGET = 2_000_000_000  # bytes of sweep state the scan may hold
+
+# A layer's scaled bridge products stay at or below 2**_PRODUCT_TOP_EXP; a
+# live pair with weight whose scaled den or num is below
+# scale * _PRODUCT_FLOOR sends the layer back to scale 1 (see _bridge_table).
+_PRODUCT_TOP_EXP = 1000
+_PRODUCT_FLOOR = 2.0**-900
 
 
 @dataclass(frozen=True)
@@ -141,10 +149,11 @@ def _log_bridge_weights(sf_row, sb_row, eps, T):
     """
     with np.errstate(divide="ignore"):
         lw = np.log(sf_row) + np.log(sb_row) + eps / T
-    finite = np.isfinite(lw)
-    if not finite.any():
+    # Stored weights are finite and nonnegative, so lw is finite or -inf.
+    m = lw.max()
+    if m == -np.inf:
         return np.zeros_like(lw)
-    return np.exp(lw - lw[finite].max())
+    return np.exp(lw - m)
 
 
 def _log_layer_cost(sf_row, sb_row, eps, T):
@@ -210,8 +219,36 @@ def _mean_table(sums, adm, tau_s, tau_e):
     return table, adm
 
 
+def _bridge_products(fu, eps, sb):
+    """One layer's bridge sums for every (start, end) pair: den = fu . sb and
+    num = (fu * eps) . sb over the layer's nodes."""
+    return fu @ sb.T, (fu * eps[None, :]) @ sb.T
+
+
+def _product_scales(width, emax):
+    """Scales to try, in order, for one layer's bridge products.
+
+    Stored weights and u are at most 1, so den <= width and num <= width *
+    max(1, emax); the first scale, 2**shift, keeps both at or below
+    2**_PRODUCT_TOP_EXP. The last scale is always 1.
+    """
+    if not math.isfinite(emax):
+        return (1.0,)
+    shift = _PRODUCT_TOP_EXP - math.ceil(math.log2(width * max(1.0, emax)))
+    return (2.0**shift, 1.0) if shift > 0 else (1.0,)
+
+
 def _bridge_table(l, starts, ends, T, budget):
-    """Mean per-layer cost of every admissible (start, end) bridge."""
+    """Mean per-layer cost of every admissible (start, end) bridge.
+
+    A pair's layer cost is num / den, both sums of products that can fall
+    below 2**-1022 at the sweep's stored scale. Each layer's products are
+    first taken at scale 2**shift, exact while they stay normal, so the
+    ratio keeps its bytes. If a live pair with weight (den > 0) has a
+    scaled den or num below scale * 2**-900, the layer's terms may have
+    been subnormal at scale 1, where rounding differs, and the layer is
+    taken again at scale 1, with the unscaled arithmetic.
+    """
     adm, tau_s, tau_e = _admissibility(starts, ends)
     # Between the last start layer and the first end layer every admissible
     # pair is live.
@@ -227,13 +264,18 @@ def _bridge_table(l, starts, ends, T, budget):
         eps = fwd.eps
         emax = float(eps.max())
         u = np.exp((eps - emax) / T)  # bridge weight carries exp(+eps/T)
-        # C order keeps BLAS on one summation order whatever s1's layout.
-        fu = np.multiply(fwd.s1, u[None, :], order="C")
-        den = fu @ sb.T
-        num = (fu * eps[None, :]) @ sb.T
+        for scale in _product_scales(eps.size, emax):
+            # C order keeps BLAS on one summation order whatever s1's layout.
+            fu = fwd.s1.copy(order="C")
+            fu *= u * scale
+            den, num = _bridge_products(fu, eps, sb)
+            pos = den > 0
+            floor = scale * _PRODUCT_FLOOR
+            if not (live & pos & (np.minimum(den, num) < floor)).any():
+                break
         with np.errstate(invalid="ignore", divide="ignore"):
             ratio = num / den
-        good = live & (den > 0) & np.isfinite(ratio)
+        good = live & pos & np.isfinite(ratio)
         np.add(esum, ratio, out=esum, where=good)
         if good.all():
             continue
@@ -275,6 +317,7 @@ def _bridge_pair_path(l, start, end, T, budget, mode="bridge"):
     n = l.n
     bridge = mode == "bridge"
     tau_0, tau_end = sum(start), sum(end)
+    neg_2i = -2 * np.arange(n, dtype=np.int64)  # lag x = tau - 2i
     taus = np.arange(tau_0, tau_end + 1)
     mean = np.zeros(taus.size)
     cost = np.zeros(taus.size)
@@ -287,13 +330,14 @@ def _bridge_pair_path(l, start, end, T, budget, mode="bridge"):
         z = p.sum()
         if not z > 0:
             raise EmptyLayerError(tau)
-        x = layer_lags(n, tau)
+        lo, hi = layer_bounds(n, tau)
+        x = tau + neg_2i[lo : hi + 1]
         idx = tau - tau_0
         mean[idx] = float((x * p).sum() / z)
         cost[idx] = float((eps * p).sum() / z)
         if tau == tau_end:
             # Paths into the end node (bridge) or onto its layer (forward).
-            v = sf[end[0] - layer_bounds(n, tau)[0]] if bridge else z
+            v = sf[end[0] - lo] if bridge else z
             log_partition = float(np.log(v) + fwd.log1[0]) if v > 0 else -np.inf
             break
     return LagPath(
@@ -324,9 +368,7 @@ def select_optimal(
     The returned result carries the full (start x end) cost table with NaN
     at inadmissible pairs.
     """
-    T = float(temperature)
-    if T <= 0:
-        raise ValueError("temperature must be positive; zero routes to optimal_path")
+    T = _check_temperature(temperature, "; zero routes to optimal_path")
     if mode not in ("bridge", "forward"):
         raise ValueError(f"unknown mode {mode!r}; expected 'bridge' or 'forward'")
     if spec is None:

@@ -72,8 +72,10 @@ class AnalysisConfig:
 
     def validate(self):
         DistanceMode.canonical(self.distance)
-        if self.temperature < 0:
-            raise ValueError("temperature must be nonnegative")
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError(
+                f"temperature must be finite and nonnegative, got {self.temperature!r}"
+            )
         if self.mode not in ("bridge", "forward"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.boundary_depth < 1:
@@ -334,12 +336,12 @@ def _analyze_core(cfg, pair, meta):
 
 def _prepare(cfg, temperatures=()):
     """Validate a run (exit 4) and load its aligned pair (exit 3). A scan
-    passes its temperatures, which must be positive and name distinct run
-    directories."""
+    passes its temperatures, which must be finite, positive and name
+    distinct run directories."""
     try:
         cfg.validate()
-        if any(t <= 0 for t in temperatures):
-            raise ValueError("scan temperatures must be positive")
+        if not all(0 < t < math.inf for t in temperatures):
+            raise ValueError("scan temperatures must be finite and positive")
         names = [f"T_{t:g}" for t in temperatures]
         shared = ", ".join(sorted({d for d in names if names.count(d) > 1}))
         if shared:
@@ -418,12 +420,15 @@ def cmd_oracle(args):
     n = args.size
     if n < 2 or n > 10:
         _fail("config", ValueError("oracle size must be in [2, 10]"), 4)
+    T = args.temperature
+    if not 0 < T < math.inf:
+        exc = ValueError(f"temperature must be finite and positive, got {T!r}")
+        _fail("config", exc, 4)
     rng = np.random.default_rng(args.seed)
     pair = AlignedPair(x=rng.normal(size=n), y=rng.normal(size=n))
     l = build_landscape(pair, mode=DistanceMode.canonical(args.distance))
     start = args.start
     end = args.end if args.end is not None else (n - 1, n - 1)
-    T = args.temperature
     try:
         fwd = forward_weights(l, start, T)
         if args.mode == "bridge":

@@ -42,6 +42,14 @@ FORWARD = "forward"
 BACKWARD = "backward"
 
 
+def _check_temperature(temperature, hint=""):
+    """temperature as a float; ValueError unless it is finite and positive."""
+    T = float(temperature)
+    if not 0.0 < T < np.inf:
+        raise ValueError(f"temperature must be finite and positive, got {T!r}{hint}")
+    return T
+
+
 class _StackedSweep:
     """Forward transfer-matrix sweeps for several seed nodes at once.
 
@@ -78,11 +86,9 @@ class _StackedSweep:
     """
 
     def __init__(self, l, seeds, temperature, log_domain=False):
-        if temperature <= 0:
-            raise ValueError("temperature must be positive")
+        self.T = _check_temperature(temperature)
         self.l = l
         self.n = l.n
-        self.T = float(temperature)
         self.log_domain = log_domain
         self.zero = -np.inf if log_domain else 0.0
         self.n_fields = len(seeds)
@@ -245,8 +251,7 @@ def _weight_field(l, node, temperature, direction):
     n = l.n
     if n > MATERIALIZE_LIMIT:
         raise LatticeTooLargeError(n, MATERIALIZE_LIMIT)
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    temperature = _check_temperature(temperature)
     i, j = _check_node(n, node)
     backward = direction == BACKWARD
     seed = (n - 1 - i, n - 1 - j) if backward else (i, j)

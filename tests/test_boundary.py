@@ -228,6 +228,12 @@ class TestSelectOptimal:
         with pytest.raises(ValueError):
             select_optimal(l, temperature=2.0, mode="both")
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, -1.0])
+    def test_temperature_must_be_finite_and_positive(self, t):
+        l = self._fixture(n=30)
+        with pytest.raises(ValueError, match="finite and positive"):
+            select_optimal(l, temperature=t, depth=3)
+
     def test_explicit_spec_overrides_depth(self):
         l = self._fixture(n=40)
         spec = BoundarySpec(
@@ -614,6 +620,52 @@ class TestScanMatchesParentScan:
         l = self._fixture(seed=0, n=60)
         res = self._compare(l, 0.01, mode, 10, 36480)
         assert res.underflowed > 0
+
+    # Costs and temperature scaled together keep the path weights but move
+    # the bridge products' magnitudes: at 1e-150 the cost-weighted sums fall
+    # near the bottom of the double range, at 1e150 the power-of-two scale
+    # shrinks, and at 1e300 it is 1 on all but the narrowest layers.
+    @pytest.mark.parametrize("factor", [1e-150, 1e150, 1e300])
+    def test_extreme_cost_magnitudes(self, factor):
+        l = self._fixture(seed=13, n=80)
+        scaled = build_landscape(AlignedPair(x=l.x * factor, y=l.y * factor))
+        self._compare(scaled, 2.0 * factor, "bridge", 6, boundary.DEFAULT_MEMORY_BUDGET)
+
+    @staticmethod
+    def _product_layers(monkeypatch, l, **kw):
+        """Bridge-product evaluations per table layer, in layer order. The
+        retry at scale 1 reuses the layer's eps array, which tells layers
+        apart."""
+        seen = []
+        products = boundary._bridge_products
+
+        def counting(fu, eps, sb):
+            seen.append(eps)
+            return products(fu, eps, sb)
+
+        monkeypatch.setattr(boundary, "_bridge_products", counting)
+        select_optimal(l, **kw)
+        per_layer = []
+        for k, eps in enumerate(seen):
+            if k and eps is seen[k - 1]:
+                per_layer[-1] += 1
+            else:
+                per_layer.append(1)
+        return per_layer
+
+    def test_warm_layers_take_the_products_once(self, monkeypatch):
+        l = self._fixture(seed=13, n=80)
+        per_layer = self._product_layers(monkeypatch, l, temperature=2.0, depth=6)
+        # Every layer of the full lattice holds a live pair.
+        assert per_layer == [1] * l.n_layers
+
+    def test_cold_layers_retake_the_products_at_scale_one(self, monkeypatch):
+        l = self._fixture(seed=0, n=60)
+        per_layer = self._product_layers(
+            monkeypatch, l, temperature=0.01, depth=10, memory_budget=36480
+        )
+        assert len(per_layer) == l.n_layers
+        assert set(per_layer) == {1, 2}
 
     @pytest.mark.parametrize("budget", [2_000_000_000, 80 * 11 * 8 * 4])
     def test_sweep_work_matches_prediction(self, monkeypatch, budget):

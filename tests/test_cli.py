@@ -277,6 +277,13 @@ class TestOracleCommand:
             run(["oracle", "--size", "11"])
         assert e.value.code == 4
 
+    @pytest.mark.parametrize("t", ["0", "-1", "nan", "inf"])
+    def test_temperature_not_finite_positive_is_config_error(self, capsys, t):
+        with pytest.raises(SystemExit) as e:
+            run(["oracle", "--size", "5", "--temperature", t])
+        assert e.value.code == 4
+        assert capsys.readouterr().err.startswith("toplag: config: temperature")
+
 
 class TestExitCodes:
     def test_unknown_argument(self):
@@ -361,6 +368,37 @@ class TestExitCodes:
                 ]
             )
         assert e.value.code == 4
+
+    @pytest.mark.parametrize("t", ["nan", "inf"])
+    def test_non_finite_temperature_is_config_error(self, tmp_path, capsys, t):
+        x_csv, y_csv, _ = make_inputs(tmp_path, kind="constant", n=40, k=1, seed=15)
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as e:
+            run(["analyze", x_csv, y_csv, "--out", str(out), "--temperature", t])
+        assert e.value.code == 4
+        assert capsys.readouterr().err.startswith("toplag: config: temperature")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("temps", ["nan,1", "1,inf", "0,1"])
+    def test_scan_temperature_not_finite_positive_is_config_error(
+        self, tmp_path, capsys, temps
+    ):
+        x_csv, y_csv, _ = make_inputs(tmp_path, kind="constant", n=40, k=1, seed=15)
+        out = tmp_path / "s"
+        with pytest.raises(SystemExit) as e:
+            run(["scan-temperature", x_csv, y_csv, "--out", str(out),
+                 "--temperatures", temps])
+        assert e.value.code == 4
+        assert capsys.readouterr().err.startswith(
+            "toplag: config: scan temperatures must be finite and positive"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -0.5])
+    def test_validate_requires_finite_nonnegative_temperature(self, t):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            AnalysisConfig("x.csv", "y.csv", "out", temperature=t).validate()
+        AnalysisConfig("x.csv", "y.csv", "out", temperature=0.0).validate()
 
 
 # The cell formatter and the row-wise writer as they stood before output

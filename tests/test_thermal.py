@@ -471,6 +471,18 @@ class TestForwardWeights:
         with pytest.raises(InvalidBoundaryError):
             forward_weights(l, (5, 0), 1.0)
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, 0.0])
+    def test_temperature_must_be_finite_and_positive(self, t):
+        l = build_landscape(random_pair(0, 5))
+        for make in (
+            lambda: forward_weights(l, (0, 0), t),
+            lambda: backward_weights(l, (4, 4), t),
+            lambda: _StackedSweep(l, [(0, 0)], t),
+            lambda: _StackedSweep(l, [(0, 0)], t, log_domain=True),
+        ):
+            with pytest.raises(ValueError, match="finite and positive"):
+                make()
+
 
 class TestBackwardWeights:
     def test_palindromic_landscape_reflects_forward_field(self):
