@@ -264,15 +264,26 @@ def _bridge_table(l, starts, ends, T, budget):
         eps = fwd.eps
         emax = float(eps.max())
         u = np.exp((eps - emax) / T)  # bridge weight carries exp(+eps/T)
-        for scale in _product_scales(eps.size, emax):
+        scales = _product_scales(eps.size, emax)
+        for scale in scales:
             # C order keeps BLAS on one summation order whatever s1's layout.
-            fu = fwd.s1.copy(order="C")
-            fu *= u * scale
+            fu = np.multiply(fwd.s1, u * scale, order="C")
             den, num = _bridge_products(fu, eps, sb)
-            pos = den > 0
+            low = np.minimum(den, num)
             floor = scale * _PRODUCT_FLOOR
-            if not (live & pos & (np.minimum(den, num) < floor)).any():
+            # A clear layer: den > 0 only where an admissible start and end
+            # both have weight, so every pair is live, and with a lifted
+            # scale on offer num <= 2**1000, so every ratio (a weighted mean
+            # of eps) is finite.
+            clear = len(scales) > 1 and low.min() >= floor
+            if clear:
                 break
+            pos = den > 0
+            if not (live & pos & (low < floor)).any():
+                break
+        if clear:
+            esum += num / den
+            continue
         with np.errstate(invalid="ignore", divide="ignore"):
             ratio = num / den
         good = live & pos & np.isfinite(ratio)

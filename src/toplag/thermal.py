@@ -109,6 +109,14 @@ class _StackedSweep:
         self.lo1 = 0
         self.log1 = np.full(self.n_fields, -np.inf)
         self.log2 = np.full(self.n_fields, -np.inf)  # layer tau - 1
+        # Linear domain: all_live says every field has weight on layer tau
+        # and a finite log scale, which step()'s shortcuts need. A log scale
+        # falls by at most emin / T + 745 per layer (a positive peak is at
+        # least 2**-1074) and costs are at most |x| + |y|; when 2n such falls
+        # fit the double range, a field with weight has a finite scale.
+        self.all_live = False
+        cost_max = sum(float(np.abs(v).max(initial=0.0)) for v in (l.x, l.y))
+        self.bounded_scales = 2 * self.n * (cost_max / self.T + 745) < 2.0**1000
         self.eps = None  # landscape costs on layer tau
 
     def _layer(self, tau):
@@ -131,6 +139,7 @@ class _StackedSweep:
         self.rows[:] = self.zero
         self.tau = tau = snap["tau"]
         self.s1, self.lo1, self.eps = None, 0, None
+        self.all_live = False
         if snap["s2"] is not None:
             self._layer(tau - 1)[:] = snap["s2"]
         if snap["s1"] is not None:
@@ -167,16 +176,26 @@ class _StackedSweep:
             emin = float(eps.min())
             w = np.exp((emin - eps) / self.T)  # in (0, 1]
 
-            log_max = np.maximum(self.log1, self.log2)
-            base = np.where(np.isfinite(log_max), log_max, 0.0)
-            f1 = np.exp(self.log1 - base)
-            f2 = np.exp(self.log2 - base)
-
-            np.add(p1[lo + 1 : hi + 2], p1[lo : hi + 1], out=raw)
             # f1 is at most 1. Once every field is seeded, the previous layer
             # usually holds each field's larger scale and f1 is exactly 1,
-            # where the rescale changes no bit (x * 1.0 == x).
-            if f1.min() != 1.0:
+            # where the rescale changes no bit (x * 1.0 == x). While log1 is
+            # finite (all_live) and no log2 exceeds it, the general block's
+            # base is log1 and its f1 is exp(0) == 1, so the shortcut
+            # computes the same bits.
+            shortcut = False
+            if self.all_live:
+                d = self.log2 - self.log1
+                shortcut = d.max() <= 0
+            if shortcut:
+                base, f2 = self.log1, np.exp(d)
+            else:
+                log_max = np.maximum(self.log1, self.log2)
+                base = np.where(np.isfinite(log_max), log_max, 0.0)
+                f1 = np.exp(self.log1 - base)
+                f2 = np.exp(self.log2 - base)
+
+            np.add(p1[lo + 1 : hi + 2], p1[lo : hi + 1], out=raw)
+            if not shortcut and f1.min() != 1.0:
                 raw *= f1
             raw += p2[lo : hi + 1] * f2
             raw *= w[:, None]
@@ -185,11 +204,18 @@ class _StackedSweep:
             for f, i_seed in seeds:
                 raw[i_seed - lo, f] = w[i_seed - lo]
 
-            # A field with no weight left keeps zeros and a -inf log scale.
+            # A field with no weight left keeps zeros and a -inf log scale;
+            # while every peak is positive the guards change nothing.
             peak = raw.max(axis=0)
-            raw /= np.where(peak > 0, peak, 1.0)
-            with np.errstate(divide="ignore"):
+            peak_min = peak.min()
+            if peak_min > 0:
+                raw /= peak
                 log_new = log_pre + np.log(peak)
+            else:
+                raw /= np.where(peak > 0, peak, 1.0)
+                with np.errstate(divide="ignore"):
+                    log_new = log_pre + np.log(peak)
+            self.all_live = peak_min > 0 and self.bounded_scales
             self.log2, self.log1 = self.log1, log_new
         cur[lo] = self.zero
         cur[hi + 2] = self.zero

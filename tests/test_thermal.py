@@ -5,6 +5,7 @@ reference, which shares no code with the sweep engine.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -715,6 +716,93 @@ class TestStackedSweepMatchesReference:
         for _ in range(3):  # the third step overwrites the layer's row
             sweep.step()
         assert np.array_equal(snap["s1"], held)
+
+
+def _steady_run(sweep, ref, layers):
+    """Step a linear sweep and the reference together over `layers` layers,
+    with numerical warnings as errors. Returns, per step, whether it began
+    with all_live, whether some log2 then exceeded log1 (the factor
+    shortcut's test fails), and all_live after it."""
+    began, rose, after = [], [], []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for _ in range(layers):
+            began.append(sweep.all_live)
+            rose.append(sweep.all_live and bool((sweep.log2 > sweep.log1).any()))
+            ref.step()
+            sweep.step()
+            _assert_same_layer(sweep, ref)
+            after.append(sweep.all_live)
+    return began, rose, after
+
+
+class TestSteadyStateShortcuts:
+    """While every field has weight (all_live), the linear step skips the
+    scale bookkeeping and zero-peak guards that cannot change a bit there;
+    the reference sweep runs them on every step."""
+
+    def test_field_dies_after_seeding(self):
+        # At T = 0.005 one start of this depth-4 fan loses all weight ten
+        # layers after the last seed: the flag drops and stays down.
+        n = 24
+        s = LagScenario(kind="constant", n=n, seed=0, k=3, noise_sigma=0.3)
+        l = build_landscape(generate(s)[0])
+        fan = [(i, 0) for i in range(4)] + [(0, i) for i in range(1, 4)]
+        sweep = _StackedSweep(l, fan, 0.005)
+        _, _, after = _steady_run(sweep, _ReferenceSweep(l, fan, 0.005), 2 * n - 1)
+        up = after.index(True)
+        down = after.index(False, up)
+        assert up == 3 and down > up + 5
+        assert not any(after[down:])
+        assert np.isinf(sweep.log1).sum() == 1
+
+    @pytest.mark.parametrize("T", [0.02, 2.0])
+    def test_scale_rises_on_live_layers(self, T):
+        # On this rough landscape most live steps find some field's larger
+        # scale on the older predecessor layer (log2 > log1) and run the
+        # full factor block; a few take the shortcut.
+        n = 15
+        l = build_landscape(random_pair(3, n, scale=3.0))
+        seeds = [(0, 0), (2, 0), (0, 2)]
+        sweep = _StackedSweep(l, seeds, T)
+        began, rose, _ = _steady_run(sweep, _ReferenceSweep(l, seeds, T), 2 * n - 1)
+        assert sum(rose) >= 20 and sum(began) - sum(rose) >= 2
+
+    @pytest.mark.parametrize("T", [2.0, 0.01])
+    def test_restore_into_steady_sweep(self, T):
+        # The snapshot's last field is not seeded yet (log1 = log2 = -inf);
+        # the sweep it goes into stands on a layer where every field lives.
+        n = 20
+        l = build_landscape(random_pair(7, n, scale=3.0))
+        seeds = [(0, 0), (3, 0), (0, 5), (9, 9)]
+        a = _StackedSweep(l, seeds, T)
+        ref = _ReferenceSweep(l, seeds, T)
+        for _ in range(13):
+            a.step()
+            ref.step()
+        b = _StackedSweep(l, seeds, T)
+        for _ in range(25):
+            b.step()
+        assert b.all_live
+        b.restore(a.snapshot())
+        assert not b.all_live
+        _, _, after = _steady_run(b, ref, 2 * n - 1 - 13)
+        assert after[-1]  # set again once the last field is in
+
+    def test_log_scales_beyond_double_range(self):
+        # Costs of 1 at T = 1e-310 put emin / T past the double range: both
+        # fields, seeded on layer 1, keep weight there under a -inf log
+        # scale. The factor shortcut needs finite scales (it would subtract
+        # -inf from -inf), so it must not run on layer 2.
+        n = 12
+        l = build_landscape(AlignedPair(x=np.ones(n), y=np.zeros(n)))
+        seeds = [(1, 0), (0, 1)]
+        sweep = _StackedSweep(l, seeds, 1e-310)
+        ref = _ReferenceSweep(l, seeds, 1e-310)
+        _steady_run(sweep, ref, 2)
+        assert (sweep.s1.max(axis=1) == 1.0).all() and np.isneginf(sweep.log1).all()
+        began, _, _ = _steady_run(sweep, ref, 2 * n - 3)
+        assert not any(began)
 
 
 # Reference log-space sweep: the materializing APIs' own recursion before
