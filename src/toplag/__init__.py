@@ -34,6 +34,7 @@ from .errors import (
     DepthTooLargeError,
     NoAdmissiblePairError,
     EmptyLayerError,
+    CostOverflowError,
     ScenarioError,
     LagOutOfRangeError,
 )
@@ -89,6 +90,7 @@ __all__ = [
     "DepthTooLargeError",
     "NoAdmissiblePairError",
     "EmptyLayerError",
+    "CostOverflowError",
     "ScenarioError",
     "LagOutOfRangeError",
     "RawSeries",

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    CostOverflowError,
     DepthTooLargeError,
     EmptyLayerError,
     NoAdmissiblePairError,
@@ -52,6 +53,8 @@ DEFAULT_MEMORY_BUDGET = 2_000_000_000  # bytes of sweep state the scan may hold
 # scale * _PRODUCT_FLOOR sends the layer back to scale 1 (see _bridge_table).
 _PRODUCT_TOP_EXP = 1000
 _PRODUCT_FLOOR = 2.0**-900
+
+_WINNER_CHUNK = 64  # layers per batch of the winner's statistics
 
 
 @dataclass(frozen=True)
@@ -140,31 +143,26 @@ def _block_edges(n_layers, bytes_per_layer, budget):
     return edges
 
 
-def _log_bridge_weights(sf_row, sb_row, eps, T):
-    """One layer's bridge weights for one pair, rebuilt in log space.
+def _log_layer_cost(sf_row, sb_row, eps, T):
+    """Mean layer cost for one pair, evaluated in log space.
 
-    Scaled to a peak of 1; all zero when every stored weight in the pair's
-    window is exactly zero, i.e. the pair's mass is more than ~700 nats
-    below the field ridge at this layer, unrepresentable in double precision.
+    Returns inf when the pair's weight underflowed on this layer, i.e. every
+    stored weight in the pair's window is exactly zero (its mass is more
+    than ~700 nats below the field ridge): such a pair is never
+    competitive. Raises CostOverflowError when the pair has weight but its
+    cost sum overflows.
     """
     with np.errstate(divide="ignore"):
         lw = np.log(sf_row) + np.log(sb_row) + eps / T
     # Stored weights are finite and nonnegative, so lw is finite or -inf.
     m = lw.max()
     if m == -np.inf:
-        return np.zeros_like(lw)
-    return np.exp(lw - m)
-
-
-def _log_layer_cost(sf_row, sb_row, eps, T):
-    """Mean layer cost for one pair, evaluated in log space.
-
-    Returns inf when the pair's weight underflowed on this layer: such a
-    pair is never competitive.
-    """
-    p = _log_bridge_weights(sf_row, sb_row, eps, T)
-    z = p.sum()
-    return float((eps * p).sum() / z) if z > 0 else float("inf")
+        return float("inf")
+    p = np.exp(lw - m)
+    cost = float((eps * p).sum() / p.sum())
+    if cost == np.inf:
+        raise CostOverflowError()
+    return cost
 
 
 def _layers(l, starts, T, ends=None, budget=DEFAULT_MEMORY_BUDGET):
@@ -176,7 +174,9 @@ def _layers(l, starts, T, ends=None, budget=DEFAULT_MEMORY_BUDGET):
     sb is None. The backward sweeps run on the reflected landscape: a scout
     pass stores checkpoints at the replay block edges, and each block is
     replayed from its checkpoint just before the forward sweep enters it.
-    A consumer that stops early never replays the later blocks.
+    The replay hands each layer's costs and weights on to the forward step,
+    so with ends only backward steps compute them. A consumer that stops
+    early never replays the later blocks.
     """
     n = l.n
     n_layers = 2 * n - 1
@@ -197,18 +197,26 @@ def _layers(l, starts, T, ends=None, budget=DEFAULT_MEMORY_BUDGET):
 
     fwd = _StackedSweep(l, list(starts), T)
     for b0, b1 in zip(edges, edges[1:]):
-        buf = [None] * (b1 - b0)  # popped from the end: layer b0 first
-        if ends is not None:
-            rep = _StackedSweep(reflected, seeds, T)
-            if b1 < n_layers:
-                rep.restore(snaps.pop(b1))
-            for k in range(b1 - b0):
-                rep.step()
-                buf[k] = rep.s1[:, ::-1].copy(order="C")
-            del rep
+        if ends is None:
+            for tau in range(b0, b1):
+                fwd.step()
+                yield tau, fwd, None
+            continue
+        # (sb, costs) per layer, popped from the end: layer b0 first. The
+        # replay's layer costs, reversed, are the forward layer's own.
+        buf = [None] * (b1 - b0)
+        rep = _StackedSweep(reflected, seeds, T)
+        if b1 < n_layers:
+            rep.restore(snaps.pop(b1))
+        for k in range(b1 - b0):
+            rep.step()
+            eps, emin, w = rep.costs
+            buf[k] = rep.s1[:, ::-1].copy(order="C"), (eps[::-1], emin, w[::-1])
+        del rep
         for tau in range(b0, b1):
-            fwd.step()
-            yield tau, fwd, buf.pop()
+            sb, costs = buf.pop()
+            fwd.step(costs)
+            yield tau, fwd, sb
 
 
 def _mean_table(sums, adm, tau_s, tau_e):
@@ -232,9 +240,10 @@ def _product_scales(width, emax):
     max(1, emax); the first scale, 2**shift, keeps both at or below
     2**_PRODUCT_TOP_EXP. The last scale is always 1.
     """
-    if not math.isfinite(emax):
+    top = width * max(1.0, emax)
+    if not (math.isfinite(emax) and math.isfinite(top)):
         return (1.0,)
-    shift = _PRODUCT_TOP_EXP - math.ceil(math.log2(width * max(1.0, emax)))
+    shift = _PRODUCT_TOP_EXP - math.ceil(math.log2(top))
     return (2.0**shift, 1.0) if shift > 0 else (1.0,)
 
 
@@ -248,12 +257,17 @@ def _bridge_table(l, starts, ends, T, budget):
     scaled den or num below scale * 2**-900, the layer's terms may have
     been subnormal at scale 1, where rounding differs, and the layer is
     taken again at scale 1, with the unscaled arithmetic.
+
+    A pair whose weight underflowed on some layer scores +inf; an inf sum
+    that no underflow explains is an overflow, refused with
+    CostOverflowError.
     """
     adm, tau_s, tau_e = _admissibility(starts, ends)
     # Between the last start layer and the first end layer every admissible
     # pair is live.
     all_live_lo, all_live_hi = int(tau_s.max()), int(tau_e.min())
     esum = np.zeros((len(starts), len(ends)))
+    dead = np.zeros(esum.shape, dtype=bool)  # underflowed pairs
     for tau, fwd, sb in _layers(l, starts, T, ends, budget):
         if all_live_lo <= tau <= all_live_hi:
             live = adm
@@ -291,29 +305,44 @@ def _bridge_table(l, starts, ends, T, budget):
         if good.all():
             continue
         for s_idx, e_idx in zip(*np.nonzero(live & ~good)):
-            if np.isinf(esum[s_idx, e_idx]):
+            if dead[s_idx, e_idx]:
                 continue
-            esum[s_idx, e_idx] += _log_layer_cost(fwd.s1[s_idx], sb[e_idx], eps, T)
+            c = _log_layer_cost(fwd.s1[s_idx], sb[e_idx], eps, T)
+            esum[s_idx, e_idx] += c
+            dead[s_idx, e_idx] = c == np.inf
+    if (np.isinf(esum) & ~dead).any():
+        raise CostOverflowError()
     return _mean_table(esum, adm, tau_s, tau_e)
 
 
 def _forward_table(l, starts, ends, T):
-    """Mean per-layer cost under forward-only weights, per (start, end)."""
+    """Mean per-layer cost under forward-only weights, per (start, end).
+
+    A pair whose start field has no weight left on one of its layers scores
+    +inf (underflowed); any other pair whose cost sum is not finite
+    overflowed, which raises CostOverflowError.
+    """
     adm, tau_s, tau_e = _admissibility(starts, ends)
     q = np.zeros((len(starts), 2 * l.n - 1))
+    alive = np.zeros(q.shape, dtype=bool)
     for tau, fwd, _ in _layers(l, starts, T):
         s1 = np.ascontiguousarray(fwd.s1)  # fixes the summation order
         den = s1.sum(axis=1)
         num = s1 @ fwd.eps
-        alive = den > 0
-        q[alive, tau] = num[alive] / den[alive]
-        # A started field that underflowed to zero carries no weight on
-        # this layer or any later one: its pairs score +inf (underflowed).
-        q[~alive & (tau_s <= tau), tau] = np.inf
-    csum = np.concatenate(
-        [np.zeros((len(starts), 1)), np.cumsum(q, axis=1)], axis=1
-    )
-    sums = csum[:, tau_e + 1] - csum[np.arange(len(starts)), tau_s][:, None]
+        live = alive[:, tau] = den > 0
+        q[live, tau] = num[live] / den[live]
+        # A started field that underflowed to zero has no distribution on
+        # this layer: its pairs through it score +inf (underflowed).
+        q[~live & (tau_s <= tau), tau] = np.inf
+
+    def range_sums(a):
+        """Sums of a's layers tau_s .. tau_e, per (start, end)."""
+        c = np.concatenate([np.zeros((len(starts), 1)), np.cumsum(a, axis=1)], axis=1)
+        return c[:, tau_e + 1] - c[np.arange(len(starts)), tau_s][:, None]
+
+    sums = range_sums(q)
+    if (adm & (range_sums(~alive) == 0) & ~np.isfinite(sums)).any():
+        raise CostOverflowError()
     return _mean_table(sums, adm, tau_s, tau_e)
 
 
@@ -323,34 +352,41 @@ def _bridge_pair_path(l, start, end, T, budget, mode="bridge"):
     Serves both modes; only the layer weights and the log partition differ.
     Bridge weights come from the forward and backward sweeps; forward
     weights from the forward sweep alone, truncated at the end's layer. The
-    name predates the forward mode; perfbench/spans.py traces it by name.
+    layers are gathered and their statistics taken _WINNER_CHUNK layers at
+    a time (_chunk_stats). The name predates the forward mode;
+    perfbench/spans.py traces it by name.
     """
-    n = l.n
     bridge = mode == "bridge"
     tau_0, tau_end = sum(start), sum(end)
-    neg_2i = -2 * np.arange(n, dtype=np.int64)  # lag x = tau - 2i
     taus = np.arange(tau_0, tau_end + 1)
-    mean = np.zeros(taus.size)
-    cost = np.zeros(taus.size)
-    for tau, fwd, sb in _layers(l, [start], T, [end] if bridge else None, budget):
+    stats = np.empty((3, taus.size))
+    sf, sb, eps = [], [], []
+    for tau, fwd, sb_layer in _layers(
+        l, [start], T, [end] if bridge else None, budget
+    ):
         if tau < tau_0:
             continue
-        sf = fwd.s1[0]
-        eps = fwd.eps
-        p = _log_bridge_weights(sf, sb[0], eps, T) if bridge else sf
-        z = p.sum()
-        if not z > 0:
-            raise EmptyLayerError(tau)
-        lo, hi = layer_bounds(n, tau)
-        x = tau + neg_2i[lo : hi + 1]
-        idx = tau - tau_0
-        mean[idx] = float((x * p).sum() / z)
-        cost[idx] = float((eps * p).sum() / z)
-        if tau == tau_end:
-            # Paths into the end node (bridge) or onto its layer (forward).
-            v = sf[end[0] - lo] if bridge else z
-            log_partition = float(np.log(v) + fwd.log1[0]) if v > 0 else -np.inf
-            break
+        sf.append(fwd.s1[0].copy())  # the sweep's rows rotate
+        if bridge:
+            sb.append(sb_layer[0])
+        eps.append(fwd.eps)
+        if len(sf) == _WINNER_CHUNK or tau == tau_end:
+            k = tau - tau_0 + 1
+            stats[:, k - len(sf) : k] = _chunk_stats(l.n, tau, sf, sb, eps, T)
+            if tau == tau_end:
+                break
+            sf, sb, eps = [], [], []
+    z, xsum, esum = stats
+    empty = ~(z > 0)
+    if empty.any():
+        raise EmptyLayerError(int(taus[np.argmax(empty)]))
+    mean = xsum / z
+    cost = esum / z
+    if not np.isfinite(cost).all():
+        raise CostOverflowError()
+    # Paths into the end node (bridge) or onto its layer (forward).
+    v = sf[-1][end[0] - layer_bounds(l.n, tau_end)[0]] if bridge else z[-1]
+    log_partition = float(np.log(v) + fwd.log1[0]) if v > 0 else -np.inf
     return LagPath(
         taus=taus,
         mean_lag=mean,
@@ -362,6 +398,45 @@ def _bridge_pair_path(l, start, end, T, budget, mode="bridge"):
         start=tuple(start),
         end=tuple(end),
     )
+
+
+def _chunk_stats(n, tau_last, sf, sb, eps, T):
+    """Per-layer z, sum(x p) and sum(eps p) over consecutive layers ending at
+    tau_last, as a (3, layers) array.
+
+    sf, sb and eps list each layer's forward weights, backward weights
+    (empty in forward mode, where p is sf) and costs. Elementwise steps run
+    once over the concatenated layers; a layer's peak comes from an exact
+    maximum.reduceat and its sums from its own contiguous slice, so every
+    number has the bits of a layer-by-layer evaluation.
+    """
+    widths = np.array([a.size for a in sf])
+    offs = np.zeros(widths.size + 1, dtype=np.int64)
+    np.cumsum(widths, out=offs[1:])
+    taus = np.arange(tau_last - widths.size + 1, tau_last + 1)
+    los = np.maximum(0, taus - (n - 1))
+    eps = np.concatenate(eps)
+    prod = np.empty((3, offs[-1]))
+    p = prod[0]
+    if sb:
+        with np.errstate(divide="ignore"):
+            lw = np.log(np.concatenate(sf)) + np.log(np.concatenate(sb)) + eps / T
+        # Stored weights are finite and nonnegative, so lw is finite or
+        # -inf; a layer all at -inf gets a peak of 0, hence zero weights.
+        peak = np.maximum.reduceat(lw, offs[:-1])
+        peak[peak == -np.inf] = 0.0
+        np.exp(lw - np.repeat(peak, widths), out=p)
+    else:
+        np.concatenate(sf, out=p)
+    # lag x = tau - 2i at position offs[k] + i - lo of layer k
+    x = np.repeat(taus - 2 * los + 2 * offs[:-1], widths)
+    x -= 2 * np.arange(offs[-1])
+    np.multiply(x, p, out=prod[1])
+    np.multiply(eps, p, out=prod[2])
+    out = np.empty((3, widths.size))
+    for k in range(widths.size):
+        out[:, k] = prod[:, offs[k] : offs[k + 1]].sum(axis=1)
+    return out
 
 
 def select_optimal(
@@ -387,10 +462,13 @@ def select_optimal(
     starts = tuple(tuple(map(int, s)) for s in spec.start_nodes)
     ends = tuple(tuple(map(int, e)) for e in spec.end_nodes)
 
-    if mode == "bridge":
-        table, adm = _bridge_table(l, starts, ends, T, memory_budget)
-    else:
-        table, adm = _forward_table(l, starts, ends, T)
+    # Cost sums overflow only at extreme cost magnitudes, where the tables
+    # and the winner path raise CostOverflowError instead.
+    with np.errstate(over="ignore"):
+        if mode == "bridge":
+            table, adm = _bridge_table(l, starts, ends, T, memory_budget)
+        else:
+            table, adm = _forward_table(l, starts, ends, T)
 
     if not adm.any():
         raise NoAdmissiblePairError()
@@ -409,7 +487,10 @@ def select_optimal(
     vals = np.sort(table[adm])
     gap = float(vals[1] - vals[0]) if vals.size > 1 else float("nan")
 
-    path = _bridge_pair_path(l, starts[s_idx], ends[e_idx], T, memory_budget, mode)
+    with np.errstate(over="ignore"):
+        path = _bridge_pair_path(
+            l, starts[s_idx], ends[e_idx], T, memory_budget, mode
+        )
     # The table entry is the authoritative score; the per-layer recomputation
     # agrees to rounding but would not compare exactly equal.
     path.energy = float(table[s_idx, e_idx])

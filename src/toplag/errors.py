@@ -89,6 +89,14 @@ class NoAdmissiblePairError(LatticeError):
         super().__init__(detail)
 
 
+class CostOverflowError(LatticeError):
+    """A sum of landscape costs left the double range, so scores cannot be
+    ranked; distinct from pairs whose path weight underflowed."""
+
+    def __init__(self, detail="sums of landscape costs overflowed the double range"):
+        super().__init__(f"{detail}; rescale the series, e.g. by standardizing them")
+
+
 class EmptyLayerError(LatticeError):
     def __init__(self, tau):
         self.tau = tau

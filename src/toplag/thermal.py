@@ -70,15 +70,16 @@ class _StackedSweep:
     node-major (n + 2, fields) rows with node i at row i + 1, so a layer and
     each predecessor slice a step reads are single contiguous blocks; s1 is
     a (fields, width) transposed view of its layer. A layer writes its
-    weights at rows lo+1 .. hi+1 and sentinels of the domain's zero weight
-    (0 or -inf) at lo and hi+2. Layer bounds move by at most one per layer,
-    so the predecessor slices a step reads (rows lo .. hi+1 of the previous
-    layer's block, lo .. hi of the one before) stay inside what those layers
-    wrote and never read a weight left from the layer a block held three
-    layers earlier; the sentinels stand for the nodes outside a layer's
-    extent. (With the full-lattice bounds the zero-weight fill of fresh or
-    restored rows already covers those cells; the sentinels keep the step
-    right for any bounds that step by at most one, such as a lag band.)
+    weights at rows lo+1 .. hi+1 and nothing else. The predecessor slices a
+    step reads (rows lo .. hi+1 of the previous layer's block, lo .. hi of
+    the one before) hold that layer's nodes, or cells no layer has written
+    since the rows were filled: row 0, and while layers grow, the row past a
+    predecessor's last node, which no shorter layer before it in the block
+    reached. That fill, the domain's zero weight (0 or -inf) in fresh and
+    restored rows, stands for the nodes outside a layer's extent. This
+    holds for the full lattice's bounds; bounds whose edges can also move
+    inward, such as a lag band, would need zero-weight sentinels written at
+    rows lo and hi+2 of each layer.
 
     s1 is not C-contiguous. Reductions and matrix products round by memory
     order, so a consumer that needs the bytes of a (fields, width) array
@@ -118,6 +119,7 @@ class _StackedSweep:
         cost_max = sum(float(np.abs(v).max(initial=0.0)) for v in (l.x, l.y))
         self.bounded_scales = 2 * self.n * (cost_max / self.T + 745) < 2.0**1000
         self.eps = None  # landscape costs on layer tau
+        self.costs = None  # (eps, emin, w) on layer tau; see step()
 
     def _layer(self, tau):
         """Stored weights on a retained layer, over its full extent, as a
@@ -138,7 +140,7 @@ class _StackedSweep:
     def restore(self, snap):
         self.rows[:] = self.zero
         self.tau = tau = snap["tau"]
-        self.s1, self.lo1, self.eps = None, 0, None
+        self.s1, self.lo1, self.eps, self.costs = None, 0, None, None
         self.all_live = False
         if snap["s2"] is not None:
             self._layer(tau - 1)[:] = snap["s2"]
@@ -149,21 +151,37 @@ class _StackedSweep:
         self.log1 = snap["log1"].copy()
         self.log2 = snap["log2"].copy()
 
-    def step(self):
-        """Produce the next layer; afterwards s1/log1/lo1/eps describe it."""
+    def step(self, costs=None):
+        """Produce the next layer; afterwards s1/log1/lo1/eps/costs describe it.
+
+        costs is the layer's (eps, emin, w), as self.costs holds them after
+        a step: its landscape costs, their minimum and the weights
+        exp((emin - eps) / T) (emin and w are None in the log domain). If
+        given, the step uses them instead of computing them.
+        boundary._layers hands over a backward replay's costs as reversed
+        views: the reflected landscape holds the same operands in reverse
+        order, so the bits are the same.
+        """
         tau = self.tau + 1
         if tau > 2 * self.n - 2:
             raise EmptyLayerError(tau)
         lo, hi = layer_bounds(self.n, tau)
-        eps = self.l.layer(tau)
+        if costs is None:
+            eps = self.l.layer(tau)
+            if self.log_domain:
+                emin = w = None
+            else:
+                emin = float(eps.min())
+                w = np.exp((emin - eps) / self.T)  # in (0, 1]
+        else:
+            eps, emin, w = costs
         # A field's whole mass at its seed layer is the seed's own weight.
         # Seeds are inside the lattice, so each lies on its layer's extent.
         seeds = self.seed_by_tau.get(tau, ())
 
         p1 = self.rows[(tau - 1) % 3]
         p2 = self.rows[(tau - 2) % 3]
-        cur = self.rows[tau % 3]
-        raw = cur[lo + 1 : hi + 2]
+        raw = self.rows[tau % 3, lo + 1 : hi + 2]
         # predecessors (i, j-1) and (i-1, j) on layer tau-1, (i-1, j-1) on tau-2
         if self.log_domain:
             np.logaddexp(p1[lo + 1 : hi + 2], p1[lo : hi + 1], out=raw)
@@ -173,9 +191,6 @@ class _StackedSweep:
             for f, i_seed in seeds:
                 raw[i_seed - lo, f] = -cost[i_seed - lo]
         else:
-            emin = float(eps.min())
-            w = np.exp((emin - eps) / self.T)  # in (0, 1]
-
             # f1 is at most 1. Once every field is seeded, the previous layer
             # usually holds each field's larger scale and f1 is exactly 1,
             # where the rescale changes no bit (x * 1.0 == x). While log1 is
@@ -217,11 +232,10 @@ class _StackedSweep:
                     log_new = log_pre + np.log(peak)
             self.all_live = peak_min > 0 and self.bounded_scales
             self.log2, self.log1 = self.log1, log_new
-        cur[lo] = self.zero
-        cur[hi + 2] = self.zero
 
         self.s1, self.lo1 = raw.T, lo
         self.eps = eps
+        self.costs = (eps, emin, w)
         self.tau = tau
 
 

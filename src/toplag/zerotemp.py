@@ -88,15 +88,16 @@ def optimal_path(l, start=None, end=None):
     los, his, offs, whole = los.tolist(), his.tolist(), offs.tolist(), whole.tolist()
 
     # Accumulated costs live in three rotating rows of length n + 2, node i
-    # at index i + 1. A layer writes its costs at lo+1 .. hi+1 and +inf
-    # sentinels at lo and hi+2. Layer bounds move by at most one per layer,
-    # so the predecessor slices (lo .. hi+1 of the previous row, lo .. hi of
-    # the one before) stay inside what those layers wrote and never read a
-    # cost left from the layer a row held three layers earlier. The rows
-    # start at +inf, which stands for the absent layers before tau0. (With
-    # the rectangle bounds used here no stale cost reaches those slices
-    # even without sentinels; they keep the loop right for any bounds that
-    # step by at most one, such as a lag band.)
+    # at index i + 1, which start at +inf; a layer writes its costs at
+    # lo+1 .. hi+1 and nothing else. The predecessor slices (lo .. hi+1 of
+    # the previous row, lo .. hi of the one before) hold that layer's nodes
+    # or cells no layer has written: index si while lo stays at si, and
+    # while hi grows, the index past a predecessor's last node, which no
+    # shorter layer before it in the row reached. Their +inf stands for the
+    # nodes outside a layer and the absent layers before tau0. This holds
+    # for the rectangle bounds used here; bounds whose edges can also move
+    # inward, such as a lag band, would need +inf sentinels written at lo
+    # and hi+2 of each layer.
     rows = list(np.full((3, n + 2), np.inf))
     # The stage holds the bits from offs index base on, as bools; it is
     # packed into the planes once it holds _STAGE_BITS of them, so it needs
@@ -109,8 +110,7 @@ def optimal_path(l, start=None, end=None):
     for k, tau in enumerate(range(tau0, tau_end + 1)):
         lo, hi = los[k], his[k]
         eps = _layer_costs(l, tau, lo, hi, whole[k])
-        cur = rows[k % 3]
-        best = cur[lo + 1 : hi + 2]
+        best = rows[k % 3][lo + 1 : hi + 2]
         if k == 0:
             best[:] = eps
         else:
@@ -126,7 +126,6 @@ def optimal_path(l, start=None, end=None):
             np.less(c_left, best, out=left_bits[a:b])
             np.minimum(best, c_left, out=best)
             np.add(best, eps, out=best)
-        cur[lo] = cur[hi + 2] = np.inf
         stop = offs[k + 1]
         if stop - base >= _STAGE_BITS or k == last:
             planes[:, base >> 3 : stop >> 3] = np.packbits(

@@ -14,9 +14,14 @@ from toplag.boundary import (
     enumerate_boundaries,
     select_optimal,
 )
-from toplag.errors import DepthTooLargeError, EmptyLayerError, NoAdmissiblePairError
+from toplag.errors import (
+    CostOverflowError,
+    DepthTooLargeError,
+    EmptyLayerError,
+    NoAdmissiblePairError,
+)
 from toplag.ingest import AlignedPair
-from toplag.landscape import build_landscape, layer_bounds, layer_lags
+from toplag.landscape import EnergyLandscape, build_landscape, layer_bounds, layer_lags
 from toplag.synth import LagScenario, brute_force_thermal, generate
 from toplag.thermal import (
     _StackedSweep,
@@ -235,6 +240,24 @@ class TestSelectOptimal:
         with pytest.raises(ValueError, match="finite and positive"):
             select_optimal(l, temperature=t, depth=3)
 
+    @pytest.mark.parametrize("mode", ["bridge", "forward"])
+    def test_cost_sums_that_overflow_are_refused(self, mode):
+        # Costs near 1e307 keep every layer cost finite, but a layer's
+        # width times its largest cost, and the pairs' summed layer means,
+        # pass the double range. That is an overflow, not an underflow.
+        rng = np.random.default_rng(0)
+        x = 1e307 * rng.standard_normal(40)
+        y = 1e307 * rng.standard_normal(40)
+        l = build_landscape(AlignedPair(x=x, y=y))
+        with pytest.raises(CostOverflowError, match="overflowed the double range"):
+            select_optimal(l, temperature=2e307, depth=5, mode=mode)
+
+    def test_product_scales_of_an_overflowing_bound(self):
+        # width * emax is inf although emax is finite: only scale 1 is left.
+        assert boundary._product_scales(40, 1e307) == (1.0,)
+        assert boundary._product_scales(40, np.inf) == (1.0,)
+        assert boundary._product_scales(40, 1.0)[0] == 2.0 ** (1000 - 6)
+
     def test_explicit_spec_overrides_depth(self):
         l = self._fixture(n=40)
         spec = BoundarySpec(
@@ -246,11 +269,14 @@ class TestSelectOptimal:
 
 
 class _ReferenceSweepWithCosts(_ReferenceSweep):
-    """The reference sweep plus the eps attribute the scan reads."""
+    """The reference sweep plus the eps and costs attributes the scan reads.
+    It computes every layer's costs itself and ignores those handed over."""
 
-    def step(self):
+    def step(self, costs=None):
         super().step()
-        self.eps = self.l.layer(self.tau)
+        self.eps = eps = self.l.layer(self.tau)
+        emin = float(eps.min())
+        self.costs = (eps, emin, np.exp((emin - eps) / self.T))
 
 
 def _result_bytes(res):
@@ -582,8 +608,8 @@ class _CountingSweep(_StackedSweep):
 
     log = []
 
-    def step(self):
-        super().step()
+    def step(self, costs=None):
+        super().step(costs)
         self.log.append(("step", self.n_fields, self.l, self.tau))
 
     def snapshot(self):
@@ -721,6 +747,113 @@ class TestScanMatchesParentScan:
         last = min(e for e in edges if e > tau_end)
         assert count("step", 1, True) == scout + last
         assert count("snapshot", 1, True) == len(edges) - 2
+
+
+class TestWinnerStatistics:
+    """The winner's statistics, taken _WINNER_CHUNK layers at a time, against
+    the layer-by-layer reference paths above."""
+
+    _fixture = TestSelectOptimal._fixture
+
+    @staticmethod
+    def _bytes(taus, mean, cost, log_z):
+        return taus.tobytes(), mean.tobytes(), cost.tobytes(), repr(log_z)
+
+    def _pair(self, chunks, extra):
+        """A start and end whose path spans chunks * _WINNER_CHUNK + extra
+        layers."""
+        start = (0, 2)
+        tau_end = sum(start) + chunks * boundary._WINNER_CHUNK + extra - 1
+        return start, (tau_end // 2, tau_end - tau_end // 2)
+
+    @pytest.mark.parametrize("chunks, extra", [(1, -1), (1, 0), (1, 1), (2, 1)])
+    @pytest.mark.parametrize("budget", [boundary.DEFAULT_MEMORY_BUDGET, 80 * 8 * 4])
+    def test_bridge_spans_around_a_chunk(self, chunks, extra, budget):
+        l = self._fixture(seed=13, n=80)
+        start, end = self._pair(chunks, extra)
+        got = boundary._bridge_pair_path(l, start, end, 2.0, budget)
+        want = _ref_bridge_pair_path(l, start, end, 2.0, budget)
+        assert got.taus.size == chunks * boundary._WINNER_CHUNK + extra
+        assert self._bytes(
+            got.taus, got.mean_lag, got.layer_cost, got.log_partition
+        ) == self._bytes(*want)
+
+    @pytest.mark.parametrize("chunks, extra", [(1, -1), (1, 0), (1, 1), (2, 1)])
+    def test_forward_spans_around_a_chunk(self, chunks, extra):
+        l = self._fixture(seed=13, n=80)
+        start, end = self._pair(chunks, extra)
+        got = boundary._bridge_pair_path(
+            l, start, end, 0.5, boundary.DEFAULT_MEMORY_BUDGET, mode="forward"
+        )
+        want = _ref_forward_pair_path(l, start, end, 0.5)
+        assert self._bytes(
+            got.taus, got.mean_lag, got.layer_cost, got.log_partition
+        ) == self._bytes(*want)
+
+    # At T = 0.004 these pairs have no bridge weight on one layer: tau 4 in
+    # the first chunk of (0, 0) -> (34, 39), tau 73 in the second chunk of
+    # (0, 1) -> (39, 39).
+    @pytest.mark.parametrize(
+        "start, end, tau", [((0, 0), (34, 39), 4), ((0, 1), (39, 39), 73)]
+    )
+    def test_layer_without_bridge_weight_mid_chunk(self, start, end, tau):
+        l = self._fixture(seed=0, n=40)
+        chunk = boundary._WINNER_CHUNK
+        assert 0 < (tau - sum(start)) % chunk < chunk - 1
+        budget = boundary.DEFAULT_MEMORY_BUDGET
+        with pytest.raises(EmptyLayerError) as want:
+            _ref_bridge_pair_path(l, start, end, 0.004, budget)
+        with pytest.raises(EmptyLayerError) as got:
+            boundary._bridge_pair_path(l, start, end, 0.004, budget)
+        assert got.value.tau == want.value.tau == tau
+
+
+class TestCostHandOff:
+    """In a bridge scan the backward replay hands every layer's costs and
+    weights to the forward step, which would have computed the same bits."""
+
+    _fixture = TestSelectOptimal._fixture
+
+    @pytest.mark.parametrize(
+        "seed, n, T, depth, budget",
+        [(13, 80, 2.0, 6, 80 * 11 * 8 * 4), (0, 60, 0.01, 10, 36480)],
+        ids=["T2", "T0.01"],
+    )
+    def test_only_backward_steps_compute_costs(
+        self, monkeypatch, seed, n, T, depth, budget
+    ):
+        l = self._fixture(seed=seed, n=n)
+        assert len(_block_edges(2 * n - 1, (2 * depth - 1) * n * 8, budget)) > 3
+        layer_calls = []
+        steps = []
+        layer = EnergyLandscape.layer
+
+        def counting(land, tau):
+            layer_calls.append(land)
+            return layer(land, tau)
+
+        class Recording(_StackedSweep):
+            def step(self, costs=None):
+                super().step(costs)
+                steps.append((self.l, self.tau, costs))
+
+        with monkeypatch.context() as m:
+            m.setattr(EnergyLandscape, "layer", counting)
+            m.setattr(boundary, "_StackedSweep", Recording)
+            select_optimal(l, temperature=T, depth=depth, memory_budget=budget)
+
+        forward = [s for s in steps if s[0] is l]
+        backward = [s for s in steps if s[0] is not l]
+        assert len(layer_calls) == len(backward)
+        assert all(land is not l for land in layer_calls)
+        assert all(costs is None for _, _, costs in backward)
+        assert forward and all(costs is not None for _, _, costs in forward)
+        for _, tau, (eps, emin, w) in forward:
+            own = l.layer(tau)
+            own_min = float(own.min())
+            assert eps.tobytes() == own.tobytes()
+            assert np.float64(emin).tobytes() == np.float64(own_min).tobytes()
+            assert w.tobytes() == np.exp((own_min - own) / T).tobytes()
 
 
 # The scan at T = 0.01 must follow the zero-temperature path, as acceptance

@@ -358,6 +358,25 @@ class TestExitCodes:
         assert e.value.code == 6
         assert capsys.readouterr().err.startswith("toplag: output: ")
 
+    def test_cost_overflow_exits_5(self, tmp_path, capsys):
+        # Raw costs near 1e307 overflow the scan's cost sums: a path-engine
+        # error, not a crash and not an underflow.
+        rng = np.random.default_rng(0)
+        paths = []
+        for name in ("x", "y"):
+            paths.append(str(tmp_path / f"{name}.csv"))
+            with open(paths[-1], "w", encoding="utf-8") as fh:
+                fh.write("time,value\n")
+                for t, v in enumerate((1e307 * rng.standard_normal(40)).tolist()):
+                    fh.write(f"{t},{v!r}\n")
+        with pytest.raises(SystemExit) as e:
+            run(["analyze", *paths, "--out", str(tmp_path / "o"), "--no-standardize",
+                 "--temperature", "2e307", "--boundary-depth", "5"])
+        assert e.value.code == 5
+        err = capsys.readouterr().err
+        assert "toplag: path-engine: sums of landscape costs overflowed" in err
+        assert "Traceback" not in err
+
     def test_negative_temperature_rejected(self, tmp_path):
         x_csv, y_csv, _ = make_inputs(tmp_path, kind="constant", n=60, k=1, seed=15)
         with pytest.raises(SystemExit) as e:
