@@ -37,14 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CostOverflowError,
-    DepthTooLargeError,
-    EmptyLayerError,
-    NoAdmissiblePairError,
-)
+from .errors import CostOverflowError, DepthTooLargeError, NoAdmissiblePairError
 from .landscape import layer_bounds
 from .thermal import LagPath, _StackedSweep, _check_temperature
+from .thermal import _WINNER_CHUNK, _finish_path, _layer_stats
 
 DEFAULT_MEMORY_BUDGET = 2_000_000_000  # bytes of sweep state the scan may hold
 
@@ -53,8 +49,6 @@ DEFAULT_MEMORY_BUDGET = 2_000_000_000  # bytes of sweep state the scan may hold
 # scale * _PRODUCT_FLOOR sends the layer back to scale 1 (see _bridge_table).
 _PRODUCT_TOP_EXP = 1000
 _PRODUCT_FLOOR = 2.0**-900
-
-_WINNER_CHUNK = 64  # layers per batch of the winner's statistics
 
 
 @dataclass(frozen=True)
@@ -352,8 +346,8 @@ def _bridge_pair_path(l, start, end, T, budget, mode="bridge"):
     Serves both modes; only the layer weights and the log partition differ.
     Bridge weights come from the forward and backward sweeps; forward
     weights from the forward sweep alone, truncated at the end's layer. The
-    layers are gathered and their statistics taken _WINNER_CHUNK layers at
-    a time (_chunk_stats). The name predates the forward mode;
+    layers are gathered and handed to thermal._layer_stats _WINNER_CHUNK
+    layers at a time. The name predates the forward mode;
     perfbench/spans.py traces it by name.
     """
     bridge = mode == "bridge"
@@ -372,71 +366,21 @@ def _bridge_pair_path(l, start, end, T, budget, mode="bridge"):
         eps.append(fwd.eps)
         if len(sf) == _WINNER_CHUNK or tau == tau_end:
             k = tau - tau_0 + 1
-            stats[:, k - len(sf) : k] = _chunk_stats(l.n, tau, sf, sb, eps, T)
+            e, w = np.concatenate(eps), np.concatenate(sf)
+            if bridge:
+                with np.errstate(divide="ignore"):
+                    w = np.log(w) + np.log(np.concatenate(sb)) + e / T
+            stats[:, k - len(sf) : k] = _layer_stats(
+                l.n, taus[k - len(sf) : k], e, w, bridge
+            )
             if tau == tau_end:
                 break
             sf, sb, eps = [], [], []
-    z, xsum, esum = stats
-    empty = ~(z > 0)
-    if empty.any():
-        raise EmptyLayerError(int(taus[np.argmax(empty)]))
-    mean = xsum / z
-    cost = esum / z
-    if not np.isfinite(cost).all():
-        raise CostOverflowError()
     # Paths into the end node (bridge) or onto its layer (forward).
-    v = sf[-1][end[0] - layer_bounds(l.n, tau_end)[0]] if bridge else z[-1]
-    log_partition = float(np.log(v) + fwd.log1[0]) if v > 0 else -np.inf
-    return LagPath(
-        taus=taus,
-        mean_lag=mean,
-        layer_cost=cost,
-        energy=float(np.mean(cost)),
-        log_partition=log_partition,
-        temperature=T,
-        mode=mode,
-        start=tuple(start),
-        end=tuple(end),
-    )
-
-
-def _chunk_stats(n, tau_last, sf, sb, eps, T):
-    """Per-layer z, sum(x p) and sum(eps p) over consecutive layers ending at
-    tau_last, as a (3, layers) array.
-
-    sf, sb and eps list each layer's forward weights, backward weights
-    (empty in forward mode, where p is sf) and costs. Elementwise steps run
-    once over the concatenated layers; a layer's peak comes from an exact
-    maximum.reduceat and its sums from its own contiguous slice, so every
-    number has the bits of a layer-by-layer evaluation.
-    """
-    widths = np.array([a.size for a in sf])
-    offs = np.zeros(widths.size + 1, dtype=np.int64)
-    np.cumsum(widths, out=offs[1:])
-    taus = np.arange(tau_last - widths.size + 1, tau_last + 1)
-    los = np.maximum(0, taus - (n - 1))
-    eps = np.concatenate(eps)
-    prod = np.empty((3, offs[-1]))
-    p = prod[0]
-    if sb:
-        with np.errstate(divide="ignore"):
-            lw = np.log(np.concatenate(sf)) + np.log(np.concatenate(sb)) + eps / T
-        # Stored weights are finite and nonnegative, so lw is finite or
-        # -inf; a layer all at -inf gets a peak of 0, hence zero weights.
-        peak = np.maximum.reduceat(lw, offs[:-1])
-        peak[peak == -np.inf] = 0.0
-        np.exp(lw - np.repeat(peak, widths), out=p)
-    else:
-        np.concatenate(sf, out=p)
-    # lag x = tau - 2i at position offs[k] + i - lo of layer k
-    x = np.repeat(taus - 2 * los + 2 * offs[:-1], widths)
-    x -= 2 * np.arange(offs[-1])
-    np.multiply(x, p, out=prod[1])
-    np.multiply(eps, p, out=prod[2])
-    out = np.empty((3, widths.size))
-    for k in range(widths.size):
-        out[:, k] = prod[:, offs[k] : offs[k + 1]].sum(axis=1)
-    return out
+    v = sf[-1][end[0] - layer_bounds(l.n, tau_end)[0]] if bridge else stats[0, -1]
+    with np.errstate(divide="ignore"):  # an empty last layer is refused
+        log_partition = float(np.log(v) + fwd.log1[0])
+    return _finish_path(taus, stats, log_partition, T, mode, tuple(start), tuple(end))
 
 
 def select_optimal(

@@ -26,6 +26,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -33,7 +34,7 @@ import numpy as np
 from . import __version__
 from .boundary import DEFAULT_MEMORY_BUDGET, select_optimal
 from .consistency import resample_lag_to_time, run_consistency
-from .errors import ToplagError
+from .errors import DepthTooLargeError, ToplagError
 from .ingest import AlignedPair, parse_csv, slice_pair, standardize, synchronize
 from .landscape import DistanceMode, build_landscape
 from .synth import LagScenario, brute_force_thermal, generate
@@ -91,6 +92,15 @@ class AnalysisConfig:
 def _fail(stage, exc, code):
     print(f"toplag: {stage}: {exc}", file=sys.stderr)
     raise SystemExit(code)
+
+
+@contextmanager
+def _exit_on(stage, code, *errors):
+    """Stop the run with _fail(stage, ..., code) on any of these errors."""
+    try:
+        yield
+    except errors as exc:
+        _fail(stage, exc, code)
 
 
 def _fmt(v):
@@ -170,37 +180,9 @@ def _grid_text(pair):
     return np.datetime_as_string(grid, unit=unit).tolist()
 
 
-def _load_pair(cfg):
-    sx, sy = (
-        parse_csv(
-            path,
-            cfg.time_col,
-            cfg.value_col,
-            time_format=cfg.time_format,
-            skip_bad_rows=cfg.skip_bad_rows,
-            label=label,
-        )
-        for path, label in ((cfg.x_csv, "x"), (cfg.y_csv, "y"))
-    )
-    pair = synchronize(sx, sy)
-    if cfg.start is not None or cfg.end is not None:
-        pair = slice_pair(pair, start=cfg.start, end=cfg.end)
-    meta = {
-        "x_rows": sx.n,
-        "y_rows": sy.n,
-        "x_skipped": sx.skipped_rows,
-        "y_skipped": sy.skipped_rows,
-    }
-    if cfg.standardize:
-        pair = standardize(pair)
-    return pair, meta
-
-
 def _make_dir(path):
-    try:
+    with _exit_on("output", 6, OSError):
         os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        _fail("output", exc, 6)
 
 
 def _analyze_core(cfg, pair, meta):
@@ -208,7 +190,7 @@ def _analyze_core(cfg, pair, meta):
     if cfg.temperature > 5:
         print(HIGH_TEMPERATURE_NOTE.format(t=cfg.temperature), file=sys.stderr)
 
-    try:
+    with _exit_on("landscape", 4, ToplagError), _exit_on("output", 6, OSError):
         l = build_landscape(pair, mode=DistanceMode.canonical(cfg.distance))
         if cfg.dump_landscape:
             mat = l.full_matrix()
@@ -217,12 +199,8 @@ def _analyze_core(cfg, pair, meta):
                 ["i"] + [f"j{j}" for j in range(l.n)],
                 [np.arange(l.n)] + list(mat.T),
             )
-    except ToplagError as exc:
-        _fail("landscape", exc, 4)
-    except OSError as exc:
-        _fail("output", exc, 6)
 
-    try:
+    with _exit_on("path-engine", 5, ToplagError), _exit_on("output", 6, OSError):
         if cfg.temperature == 0:
             path = optimal_path(l)
             taus, lags = path.taus, path.lags
@@ -281,12 +259,8 @@ def _analyze_core(cfg, pair, meta):
             ["tau", "mean_lag", "t1", "layer_cost"],
             [taus, lags, (taus - lags) / 2.0, costs],
         )
-    except ToplagError as exc:
-        _fail("path-engine", exc, 5)
-    except OSError as exc:
-        _fail("output", exc, 6)
 
-    try:
+    with _exit_on("consistency", 6, ToplagError), _exit_on("output", 6, OSError):
         t_index, lag_at_t = resample_lag_to_time(taus, lags, pair.n)
         grid_text = _grid_text(pair)
         _write_csv(
@@ -327,18 +301,15 @@ def _analyze_core(cfg, pair, meta):
             "tool": {"name": "toplag", "version": __version__},
         }
         _write_summary(os.path.join(cfg.out_dir, "summary.json"), summary)
-    except ToplagError as exc:
-        _fail("consistency", exc, 6)
-    except OSError as exc:
-        _fail("output", exc, 6)
     return summary
 
 
 def _prepare(cfg, temperatures=()):
-    """Validate a run (exit 4) and load its aligned pair (exit 3). A scan
-    passes its temperatures, which must be finite, positive and name
-    distinct run directories."""
-    try:
+    """Validate a run and load its aligned pair. Settings that are invalid on
+    their own or for the loaded series exit 4; series that cannot be read,
+    aligned or filtered exit 3. A scan passes its temperatures, which must
+    be finite, positive and name distinct run directories."""
+    with _exit_on("config", 4, ValueError):
         cfg.validate()
         if not all(0 < t < math.inf for t in temperatures):
             raise ValueError("scan temperatures must be finite and positive")
@@ -346,12 +317,33 @@ def _prepare(cfg, temperatures=()):
         shared = ", ".join(sorted({d for d in names if names.count(d) > 1}))
         if shared:
             raise ValueError(f"more than one scan temperature writes to {shared}")
-    except ValueError as exc:
-        _fail("config", exc, 4)
-    try:
-        return _load_pair(cfg)
-    except (FileNotFoundError, ToplagError) as exc:
-        _fail("ingest", exc, 3)
+    with _exit_on("ingest", 3, FileNotFoundError, ToplagError):
+        sx, sy = (
+            parse_csv(
+                path,
+                cfg.time_col,
+                cfg.value_col,
+                time_format=cfg.time_format,
+                skip_bad_rows=cfg.skip_bad_rows,
+                label=label,
+            )
+            for path, label in ((cfg.x_csv, "x"), (cfg.y_csv, "y"))
+        )
+        pair = synchronize(sx, sy)
+    with _exit_on("ingest", 3, ToplagError), _exit_on("config", 4, ValueError):
+        if cfg.start is not None or cfg.end is not None:
+            pair = slice_pair(pair, cfg.start, cfg.end, cfg.time_format)
+        if cfg.standardize:
+            pair = standardize(pair)
+    if (temperatures or cfg.temperature > 0) and cfg.boundary_depth >= pair.n:
+        _fail("config", DepthTooLargeError(cfg.boundary_depth, pair.n), 4)
+    meta = {
+        "x_rows": sx.n,
+        "y_rows": sy.n,
+        "x_skipped": sx.skipped_rows,
+        "y_skipped": sy.skipped_rows,
+    }
+    return pair, meta
 
 
 def run_analysis(cfg):
@@ -398,10 +390,8 @@ def cmd_scan_temperature(args):
 
 
 def cmd_synth(args):
-    try:
+    with _exit_on("synth", 4, ToplagError):
         pair, lag = generate(_from_args(LagScenario, args))
-    except ToplagError as exc:
-        _fail("synth", exc, 4)
     _make_dir(args.out_dir)
     _write_csv(
         os.path.join(args.out_dir, "pair.csv"),
@@ -429,7 +419,10 @@ def cmd_oracle(args):
     l = build_landscape(pair, mode=DistanceMode.canonical(args.distance))
     start = args.start
     end = args.end if args.end is not None else (n - 1, n - 1)
-    try:
+    if not all(0 <= a <= b < n for a, b in zip(start, end)):
+        exc = f"start {start} and end {end} need 0 <= start <= end < {n} in i and j"
+        _fail("config", exc, 4)
+    with _exit_on("path-engine", 5, ToplagError):
         fwd = forward_weights(l, start, T)
         if args.mode == "bridge":
             bwd = backward_weights(l, end, T)
@@ -437,8 +430,6 @@ def cmd_oracle(args):
         else:
             engine = thermal_average(l, fwd, end=end)
         reference = brute_force_thermal(l, start, end=end, temperature=T, mode=args.mode)
-    except ToplagError as exc:
-        _fail("path-engine", exc, 5)
 
     checks = [
         ("mean_lag", float(np.max(np.abs(engine.mean_lag - reference["mean_lag"])))),

@@ -316,13 +316,28 @@ def standardize(pair):
     )
 
 
-def slice_pair(pair, start=None, end=None):
-    """Restrict an aligned pair to grid instants within [start, end]."""
+def slice_pair(pair, start=None, end=None, time_format=None):
+    """Restrict an aligned pair to grid instants within [start, end].
+
+    A bound given as text is read by the CSV timestamp rules (time_format,
+    offsets converted to UTC) and must be of the grid's time kind; one that
+    does not parse or is of the other kind raises ValueError. Other bounds
+    are converted to the grid's type.
+    """
+    datetimes = pair.time_kind == TIME_KIND_DATETIME
 
     def _coerce(v):
-        if np.issubdtype(pair.grid.dtype, np.datetime64):
-            return np.datetime64(v)
-        return np.int64(v)
+        if not isinstance(v, str):
+            return np.datetime64(v) if datetimes else np.int64(v)
+        try:
+            kind, t = _parse_timestamp(v, time_format)
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"time bound {v!r}: {exc}") from None
+        if kind != pair.time_kind:
+            raise ValueError(
+                f"time bound {v!r} is {kind}, but the grid holds {pair.time_kind} times"
+            )
+        return np.datetime64(t, "us") if datetimes else t
 
     mask = np.ones(pair.n, dtype=bool)
     if start is not None:

@@ -17,6 +17,9 @@ within-layer weight ratios overwhelm any linear double, scaled or not. The
 materializing APIs (forward_weights, backward_weights, thermal_average) are
 one-field log-domain runs.
 
+One kernel, _layer_stats, turns a pair's per-layer weights into its lag
+and cost statistics, for thermal_average and the boundary scan's winner.
+
 Per-layer lag distributions come in two flavors. Bridge mode conditions on
 both a start and an end: the weight of passing through a node is
 G_fwd * G_bwd * exp(+eps/T), where the positive factor undoes the node cost
@@ -32,14 +35,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    CostOverflowError,
     EmptyLayerError,
     InvalidBoundaryError,
     LatticeTooLargeError,
 )
-from .landscape import MATERIALIZE_LIMIT, layer_bounds, layer_lags
+from .landscape import MATERIALIZE_LIMIT, layer_bounds
 
 FORWARD = "forward"
 BACKWARD = "backward"
+
+_WINNER_CHUNK = 64  # layers per _layer_stats call on a pair's path
 
 
 def _check_temperature(temperature, hint=""):
@@ -362,7 +368,8 @@ def thermal_average(l, forward, backward=None, end=None):
 
     With a backward field: bridge mode between forward.origin and
     backward.origin. Without: forward mode, optionally truncated at the
-    layer of `end` (otherwise running to the last layer).
+    layer of `end` (otherwise running to the last layer). Raises
+    CostOverflowError when a layer cost or the energy overflows.
     """
     n = l.n
     if forward.direction != FORWARD:
@@ -372,68 +379,102 @@ def thermal_average(l, forward, backward=None, end=None):
     T = forward.temperature
     si, sj = forward.origin
     tau_s = forward.tau_min
-    if backward is not None:
+    bridge = backward is not None
+    if bridge:
         if backward.direction != BACKWARD:
             raise InvalidBoundaryError("second field must be a backward field")
         if backward.n != n or backward.temperature != T:
             raise InvalidBoundaryError("fields disagree on lattice or temperature")
-        ei, ej = backward.origin
+        end = backward.origin
+    tau_e = 2 * n - 2
+    if end is not None:
+        ei, ej = _check_node(n, end)
         if ei < si or ej < sj:
             raise InvalidBoundaryError(
                 f"end ({ei}, {ej}) not reachable from start ({si}, {sj})"
             )
         tau_e = ei + ej
-        end = (ei, ej)
-        mode = "bridge"
-    else:
-        if end is not None:
-            ei, ej = _check_node(n, end)
-            if ei < si or ej < sj:
-                raise InvalidBoundaryError(
-                    f"end ({ei}, {ej}) not reachable from start ({si}, {sj})"
-                )
-            tau_e = ei + ej
-        else:
-            tau_e = 2 * n - 2
-        mode = "forward"
-
     taus = np.arange(tau_s, tau_e + 1)
-    mean = np.empty(taus.size)
-    cost = np.empty(taus.size)
-    for k, tau in enumerate(taus):
-        eps = l.layer(tau)
-        x = layer_lags(n, tau)
-        sf, _ = forward.layer(tau)
-        if backward is not None:
-            sb, _ = backward.layer(tau)
-            lw = sf + sb + eps / T
-            finite = np.isfinite(lw)
-            if not finite.any():
-                raise EmptyLayerError(tau)
-            p = np.exp(lw - lw[finite].max())
+    stats = np.empty((3, taus.size))
+    for k in range(0, taus.size, _WINNER_CHUNK):
+        chunk = taus[k : k + _WINNER_CHUNK]
+        eps = np.concatenate([l.layer(tau) for tau in chunk])
+        w = np.concatenate([forward.vecs[tau] for tau in chunk])
+        if bridge:
+            w += np.concatenate([backward.vecs[tau] for tau in chunk])
+            w += eps / T
         else:
-            p = np.exp(sf)
-        z = p.sum()
-        if not z > 0:
-            raise EmptyLayerError(tau)
-        mean[k] = float((x * p).sum() / z)
-        cost[k] = float((eps * p).sum() / z)
+            w = np.exp(w)
+        stats[:, k : k + chunk.size] = _layer_stats(n, chunk, eps, w, bridge)
 
-    if backward is not None:
+    if bridge:
         log_partition = forward.node_log_weight(ei, ej)
     else:
-        sf, scale = forward.layer(tau_e)
-        log_partition = float(np.log(np.exp(sf).sum()) + scale)
+        with np.errstate(divide="ignore"):  # an empty last layer is refused
+            log_partition = float(np.log(stats[0, -1]) + forward.logscale[tau_e])
+    mode = "bridge" if bridge else "forward"
+    return _finish_path(taus, stats, log_partition, T, mode, (si, sj), end)
 
+
+def _layer_stats(n, taus, eps, w, log_weights):
+    """Per-layer sum(p), sum(x p) and sum(eps p), x the lag, over the
+    consecutive layers taus, as a (3, layers) array.
+
+    eps and w hold the layers' costs and weights, concatenated. Bridge
+    weights come as log weights (log_weights), each layer's shifted by its
+    peak before exp; forward weights are p itself. A layer's peak comes from
+    an exact maximum.reduceat and its sums from its own contiguous slice, so
+    every number has the bits of a layer-by-layer evaluation. Sums that
+    overflow come back inf, without a warning.
+    """
+    los = np.maximum(0, taus - (n - 1))
+    widths = np.minimum(taus, n - 1) - los + 1
+    offs = np.zeros(taus.size + 1, dtype=np.int64)
+    np.cumsum(widths, out=offs[1:])
+    prod = np.empty((3, offs[-1]))
+    p = prod[0]
+    if log_weights:
+        # A layer all at -inf gets a peak of 0, hence zero weights.
+        peak = np.maximum.reduceat(w, offs[:-1])
+        peak[peak == -np.inf] = 0.0
+        np.exp(w - np.repeat(peak, widths), out=p)
+    else:
+        p[:] = w
+    # lag x = tau - 2i at position offs[k] + i - lo of layer k
+    x = np.repeat(taus - 2 * los + 2 * offs[:-1], widths)
+    x -= 2 * np.arange(offs[-1])
+    np.multiply(x, p, out=prod[1])
+    np.multiply(eps, p, out=prod[2])
+    out = np.empty((3, taus.size))
+    with np.errstate(over="ignore"):
+        for k in range(taus.size):
+            out[:, k] = prod[:, offs[k] : offs[k + 1]].sum(axis=1)
+    return out
+
+
+def _finish_path(taus, stats, log_partition, T, mode, start, end):
+    """The LagPath of per-layer sums from _layer_stats.
+
+    Raises EmptyLayerError at the first layer without weight, and
+    CostOverflowError when a layer cost or their mean is not finite.
+    """
+    z, xsum, esum = stats
+    empty = ~(z > 0)
+    if empty.any():
+        raise EmptyLayerError(int(taus[np.argmax(empty)]))
+    cost = esum / z
+    with np.errstate(over="ignore"):
+        energy = float(np.mean(cost))
+    if not (np.isfinite(cost).all() and np.isfinite(energy)):
+        raise CostOverflowError()
     return LagPath(
         taus=taus,
-        mean_lag=mean,
+        mean_lag=xsum / z,
         layer_cost=cost,
-        energy=float(np.mean(cost)),
+        energy=energy,
         log_partition=log_partition,
         temperature=T,
         mode=mode,
-        start=(si, sj),
+        start=start,
         end=end,
     )
-

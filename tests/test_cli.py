@@ -553,3 +553,126 @@ class TestIngestExitCodes:
         assert run(["analyze", x, x, "--out", str(tmp_path / "o")]) == 0
         s = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert s["data"]["n"] == 40
+
+
+def _write_series(tmp_path, stamps, seed=0):
+    """x.csv and y.csv with the given timestamp cells and random values."""
+    rng = np.random.default_rng(seed)
+    paths = []
+    for name in ("x", "y"):
+        paths.append(str(tmp_path / f"{name}.csv"))
+        with open(paths[-1], "w", encoding="utf-8") as fh:
+            fh.write("time,value\n")
+            values = rng.normal(size=len(stamps)).tolist()
+            fh.writelines(f"{t},{v!r}\n" for t, v in zip(stamps, values))
+    return paths
+
+
+class TestTimeBounds:
+    """--start and --end are read by the CSV timestamp rules and must be of
+    the aligned grid's time kind; a bound that is not exits 4."""
+
+    MINUTES = [f"2020-01-01T{m // 60:02d}:{m % 60:02d}:00" for m in range(60)]
+
+    def _analyze(self, tmp_path, paths, *flags):
+        out = tmp_path / "o"
+        code = run(["analyze", *paths, "--out", str(out), "--temperature", "0",
+                    "--window", "5", *flags])
+        return code, json.loads((out / "summary.json").read_text())
+
+    def _refused(self, out, capsys, paths, *flags):
+        with pytest.raises(SystemExit) as e:
+            run(["analyze", *paths, "--out", str(out), *flags])
+        assert e.value.code == 4
+        assert capsys.readouterr().err.startswith("toplag: config: time bound ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--start", "bogus"], ["--end", "2.5"],
+                                       ["--start", "3", "--end", "1e3"]])
+    def test_bound_that_does_not_parse_on_an_integer_grid(
+        self, tmp_path, capsys, flags
+    ):
+        paths = _write_series(tmp_path, range(60))
+        self._refused(tmp_path / "o", capsys, paths, *flags)
+
+    @pytest.mark.parametrize("bound", ["5", "2020-01-01T00:10:00+25:00", "bogus"])
+    def test_bound_of_the_wrong_kind_on_a_datetime_grid(
+        self, tmp_path, capsys, bound
+    ):
+        paths = _write_series(tmp_path, self.MINUTES)
+        self._refused(tmp_path / "o", capsys, paths, "--start", bound)
+
+    def test_datetime_bounds_convert_offsets_to_utc(self, tmp_path):
+        paths = _write_series(tmp_path, self.MINUTES)
+        code, s = self._analyze(
+            tmp_path, paths,
+            "--start", "2020-01-01T01:10:00+01:00",
+            "--end", "2019-12-31T19:39:00-05:00",
+        )
+        assert code == 0 and s["data"]["n"] == 30
+
+    def test_bounds_follow_the_time_format(self, tmp_path, capsys):
+        stamps = [f"01/01/2020 00h{m:02d}" for m in range(60)]
+        paths = _write_series(tmp_path, stamps)
+        fmt = ["--time-format", "%d/%m/%Y %Hh%M"]
+        code, s = self._analyze(tmp_path, paths, *fmt, "--start", "01/01/2020 00h20")
+        assert code == 0 and s["data"]["n"] == 40
+        self._refused(tmp_path / "o2", capsys, paths, *fmt, "--end", "2020-01-01T00:20")
+
+    def test_integer_bounds_still_filter(self, tmp_path):
+        paths = _write_series(tmp_path, range(100, 160))
+        code, s = self._analyze(tmp_path, paths, "--start", " 110", "--end", "139")
+        assert code == 0 and s["data"]["n"] == 30
+
+
+class TestConfigThatDependsOnTheData:
+    """Settings that only the loaded series can refute exit 4, before any
+    engine runs."""
+
+    @pytest.mark.parametrize("depth", ["40", "41"])
+    def test_boundary_depth_at_or_above_the_aligned_length(
+        self, tmp_path, capsys, depth
+    ):
+        paths = _write_series(tmp_path, range(40))
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as e:
+            run(["analyze", *paths, "--out", str(out), "--boundary-depth", depth])
+        assert e.value.code == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"toplag: config: boundary depth {depth}")
+        assert not out.exists()
+        # The zero-temperature path has no boundary fan.
+        assert run(["analyze", *paths, "--out", str(out), "--temperature", "0",
+                    "--boundary-depth", depth]) == 0
+
+    def test_boundary_depth_against_the_filtered_length(self, tmp_path, capsys):
+        paths = _write_series(tmp_path, range(60))
+        with pytest.raises(SystemExit) as e:
+            run(["analyze", *paths, "--out", str(tmp_path / "o"), "--start", "30",
+                 "--boundary-depth", "30"])
+        assert e.value.code == 4
+        assert "(n=30)" in capsys.readouterr().err
+
+    def test_scan_boundary_depth_at_the_aligned_length(self, tmp_path, capsys):
+        paths = _write_series(tmp_path, range(40))
+        out = tmp_path / "s"
+        with pytest.raises(SystemExit) as e:
+            run(["scan-temperature", *paths, "--out", str(out),
+                 "--temperatures", "1,2", "--boundary-depth", "40"])
+        assert e.value.code == 4
+        assert capsys.readouterr().err.startswith("toplag: config: boundary depth 40")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["bridge", "forward"])
+    @pytest.mark.parametrize(
+        "nodes",
+        [["--end", "7,7"], ["--start", "0,-1"], ["--start", "7,0"],
+         ["--start", "3,3", "--end", "2,6"], ["--start", "2,4", "--end", "5,3"]],
+    )
+    def test_oracle_nodes_outside_the_lattice_or_out_of_order(
+        self, capsys, mode, nodes
+    ):
+        with pytest.raises(SystemExit) as e:
+            run(["oracle", "--size", "7", "--mode", mode, *nodes])
+        assert e.value.code == 4
+        assert capsys.readouterr().err.startswith("toplag: config: start (")

@@ -10,11 +10,12 @@ import warnings
 import numpy as np
 import pytest
 
-from toplag.errors import EmptyLayerError, InvalidBoundaryError
+from toplag.errors import CostOverflowError, EmptyLayerError, InvalidBoundaryError
 from toplag.ingest import AlignedPair
-from toplag.landscape import build_landscape, layer_bounds
+from toplag.landscape import build_landscape, layer_bounds, layer_lags
 from toplag.synth import LagScenario, brute_force_thermal, generate
 from toplag.thermal import (
+    LagPath,
     _StackedSweep,
     backward_weights,
     forward_weights,
@@ -905,3 +906,150 @@ class TestWeightFieldsMatchReference:
             for f, single in enumerate(singles):
                 single.step()
                 assert stacked.s1[f].tobytes() == single.s1[0].tobytes()
+
+
+def _reference_thermal_average(l, forward, backward=None, end=None):
+    """thermal_average as it was before it took its statistics from
+    _layer_stats: one layer at a time."""
+    n = l.n
+    T = forward.temperature
+    si, sj = forward.origin
+    tau_s = forward.tau_min
+    if backward is not None:
+        ei, ej = backward.origin
+        tau_e = ei + ej
+        end = (ei, ej)
+        mode = "bridge"
+    else:
+        if end is not None:
+            ei, ej = end
+            tau_e = ei + ej
+        else:
+            tau_e = 2 * n - 2
+        mode = "forward"
+
+    taus = np.arange(tau_s, tau_e + 1)
+    mean = np.empty(taus.size)
+    cost = np.empty(taus.size)
+    for k, tau in enumerate(taus):
+        eps = l.layer(tau)
+        x = layer_lags(n, tau)
+        sf, _ = forward.layer(tau)
+        if backward is not None:
+            sb, _ = backward.layer(tau)
+            lw = sf + sb + eps / T
+            finite = np.isfinite(lw)
+            if not finite.any():
+                raise EmptyLayerError(tau)
+            p = np.exp(lw - lw[finite].max())
+        else:
+            p = np.exp(sf)
+        z = p.sum()
+        if not z > 0:
+            raise EmptyLayerError(tau)
+        mean[k] = float((x * p).sum() / z)
+        cost[k] = float((eps * p).sum() / z)
+
+    if backward is not None:
+        log_partition = forward.node_log_weight(ei, ej)
+    else:
+        sf, scale = forward.layer(tau_e)
+        log_partition = float(np.log(np.exp(sf).sum()) + scale)
+
+    return LagPath(
+        taus=taus,
+        mean_lag=mean,
+        layer_cost=cost,
+        energy=float(np.mean(cost)),
+        log_partition=log_partition,
+        temperature=T,
+        mode=mode,
+        start=(si, sj),
+        end=end,
+    )
+
+
+def _path_bytes(p):
+    return (
+        p.taus.tobytes(),
+        p.mean_lag.tobytes(),
+        p.layer_cost.tobytes(),
+        repr(p.energy),
+        repr(p.log_partition),
+        p.mode,
+        p.start,
+        p.end,
+    )
+
+
+def _assert_same_path_or_error(l, forward, backward=None, end=None):
+    """thermal_average has the reference's bytes, or both raise
+    EmptyLayerError on the same layer."""
+    try:
+        want = _reference_thermal_average(l, forward, backward, end)
+    except EmptyLayerError as exc:
+        with pytest.raises(EmptyLayerError) as got:
+            thermal_average(l, forward, backward, end)
+        assert got.value.tau == exc.tau
+        return
+    assert _path_bytes(thermal_average(l, forward, backward, end)) == _path_bytes(want)
+
+
+class TestThermalAverageMatchesReference:
+    """thermal_average takes its statistics _WINNER_CHUNK layers at a time
+    from the kernel the scan's winner path uses; the bytes are those of the
+    layer-by-layer loop."""
+
+    @staticmethod
+    def _anchors(n):
+        return [
+            ((0, 0), (n - 1, n - 1)),
+            ((0, 2), (n - 1, n - 3)),
+            ((n // 3, 1), (n - 2, n - 1)),
+        ]
+
+    @pytest.mark.parametrize("case", ["bridge", "forward", "forward_end"])
+    @pytest.mark.parametrize("T", [0.004, 0.05, 0.5, 2.0, 8.0])
+    @pytest.mark.parametrize("n", [6, 20, 41, 97])
+    def test_bytes(self, n, T, case):
+        l = build_landscape(random_pair(n + 1, n, scale=2.0))
+        for start, end in self._anchors(n):
+            f = forward_weights(l, start, T)
+            if case == "bridge":
+                _assert_same_path_or_error(l, f, backward_weights(l, end, T))
+            else:
+                _assert_same_path_or_error(
+                    l, f, end=end if case == "forward_end" else None
+                )
+
+    # A layer without weight, mid-chunk and in a later chunk; log-domain
+    # fields never lose a whole layer, so the test empties one by hand.
+    @pytest.mark.parametrize("offset", [5, 70])
+    @pytest.mark.parametrize("bridge", [True, False])
+    def test_empty_layer(self, offset, bridge):
+        n = 50
+        l = build_landscape(random_pair(3, n))
+        f = forward_weights(l, (0, 1), 0.5)
+        b = backward_weights(l, (n - 1, n - 2), 0.5) if bridge else None
+        tau = 1 + offset
+        f.vecs[tau] = np.full_like(f.vecs[tau], -np.inf)
+        f.vecs[tau + 3] = np.full_like(f.vecs[tau + 3], -np.inf)
+        with pytest.raises(EmptyLayerError) as got:
+            thermal_average(l, f, b)
+        assert got.value.tau == tau
+        _assert_same_path_or_error(l, f, b)
+
+    @pytest.mark.parametrize("bridge", [True, False])
+    def test_cost_sums_that_overflow_are_refused(self, bridge):
+        # Costs and T scaled by 1e307 keep every log weight finite, but the
+        # layers' cost sums pass the double range.
+        rng = np.random.default_rng(0)
+        x = 1e307 * rng.standard_normal(40)
+        y = 1e307 * rng.standard_normal(40)
+        l = build_landscape(AlignedPair(x=x, y=y))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            f = forward_weights(l, (0, 0), 2e307)
+            b = backward_weights(l, (39, 39), 2e307) if bridge else None
+            with pytest.raises(CostOverflowError, match="overflowed the double range"):
+                thermal_average(l, f, b)
