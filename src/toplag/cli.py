@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import __version__
-from .boundary import DEFAULT_MEMORY_BUDGET, select_optimal
+from .boundary import DEFAULT_MEMORY_BUDGET, enumerate_boundaries, select_optimal
 from .consistency import resample_lag_to_time, run_consistency
 from .errors import DepthTooLargeError, ToplagError
 from .ingest import AlignedPair, parse_csv, slice_pair, standardize, synchronize
@@ -332,11 +332,12 @@ def _prepare(cfg, temperatures=()):
         pair = synchronize(sx, sy)
     with _exit_on("ingest", 3, ToplagError), _exit_on("config", 4, ValueError):
         if cfg.start is not None or cfg.end is not None:
-            pair = slice_pair(pair, cfg.start, cfg.end, cfg.time_format)
+            pair = slice_pair(pair, cfg.start, cfg.end)
         if cfg.standardize:
             pair = standardize(pair)
-    if (temperatures or cfg.temperature > 0) and cfg.boundary_depth >= pair.n:
-        _fail("config", DepthTooLargeError(cfg.boundary_depth, pair.n), 4)
+    if temperatures or cfg.temperature > 0:
+        with _exit_on("config", 4, DepthTooLargeError):
+            enumerate_boundaries(pair.n, cfg.boundary_depth)
     meta = {
         "x_rows": sx.n,
         "y_rows": sy.n,

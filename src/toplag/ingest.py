@@ -316,13 +316,15 @@ def standardize(pair):
     )
 
 
-def slice_pair(pair, start=None, end=None, time_format=None):
+def slice_pair(pair, start=None, end=None):
     """Restrict an aligned pair to grid instants within [start, end].
 
-    A bound given as text is read by the CSV timestamp rules (time_format,
-    offsets converted to UTC) and must be of the grid's time kind; one that
-    does not parse or is of the other kind raises ValueError. Other bounds
-    are converted to the grid's type.
+    A bound given as text is read by the CSV timestamp rules (the pair's
+    time_format, offsets converted to UTC) and must be of the grid's time
+    kind; one that does not parse or is of the other kind raises ValueError.
+    So a datetime bound is a full ISO 8601 date or datetime, or follows the
+    time_format: "2020" is an integer and "2020-01" does not parse. Other
+    bounds are converted to the grid's type.
     """
     datetimes = pair.time_kind == TIME_KIND_DATETIME
 
@@ -330,7 +332,7 @@ def slice_pair(pair, start=None, end=None, time_format=None):
         if not isinstance(v, str):
             return np.datetime64(v) if datetimes else np.int64(v)
         try:
-            kind, t = _parse_timestamp(v, time_format)
+            kind, t = _parse_timestamp(v, pair.time_format)
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"time bound {v!r}: {exc}") from None
         if kind != pair.time_kind:

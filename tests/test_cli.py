@@ -602,6 +602,15 @@ class TestTimeBounds:
         paths = _write_series(tmp_path, self.MINUTES)
         self._refused(tmp_path / "o", capsys, paths, "--start", bound)
 
+    @pytest.mark.parametrize("bound", ["2020", "2020-01"])
+    def test_year_and_month_bounds_are_refused_on_a_datetime_grid(
+        self, tmp_path, capsys, bound
+    ):
+        # A datetime bound is a full ISO date or datetime: "2020" reads as an
+        # integer and "2020-01" does not parse.
+        paths = _write_series(tmp_path, self.MINUTES)
+        self._refused(tmp_path / "o", capsys, paths, "--start", bound)
+
     def test_datetime_bounds_convert_offsets_to_utc(self, tmp_path):
         paths = _write_series(tmp_path, self.MINUTES)
         code, s = self._analyze(

@@ -489,6 +489,18 @@ class TestAlignedPair:
         assert cut.grid.tolist() == [103, 104, 105, 106]
         assert cut.x.tolist() == [3.0, 4.0, 5.0, 6.0]
 
+    def test_text_bounds_follow_the_pairs_time_format(self):
+        grid = np.arange("2020-01-01", "2020-01-11", dtype="datetime64[D]")
+        pair = AlignedPair(
+            x=np.arange(10.0), y=np.arange(10.0),
+            grid=grid.astype("datetime64[ns]"), time_format="%d/%m/%Y",
+        )
+        cut = slice_pair(pair, start="03/01/2020", end="06/01/2020")
+        assert cut.x.tolist() == [2.0, 3.0, 4.0, 5.0]
+        assert cut.time_format == "%d/%m/%Y"
+        with pytest.raises(ValueError, match="time bound '2020-01-03'"):
+            slice_pair(pair, start="2020-01-03")
+
     def test_slice_to_nothing_rejected(self):
         pair = AlignedPair(x=np.arange(5.0), y=np.arange(5.0))
         with pytest.raises(EmptyIntersectionError):
