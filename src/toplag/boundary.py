@@ -34,13 +34,14 @@ lifted by an exact power of two, which keeps them out of the subnormal range
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import CostOverflowError, DepthTooLargeError, NoAdmissiblePairError
 from .landscape import layer_bounds
-from .thermal import LagPath, _StackedSweep, _check_temperature
-from .thermal import _WINNER_CHUNK, _finish_path, _layer_stats
+from .sweep import LagPath, _StackedSweep, _check_temperature
+from .sweep import _WINNER_CHUNK, _finish_path, _layer_stats
 
 DEFAULT_MEMORY_BUDGET = 2_000_000_000  # bytes of sweep state the scan may hold
 
@@ -159,7 +160,9 @@ def _log_layer_cost(sf_row, sb_row, eps, T):
     return cost
 
 
-def _layers(l, starts, T, ends=None, budget=DEFAULT_MEMORY_BUDGET):
+def _layers(
+    l, starts, T, ends=None, budget=DEFAULT_MEMORY_BUDGET, log_domain=False
+):
     """Step a stacked forward sweep from starts over every layer.
 
     Yields (tau, fwd, sb) for tau = 0, 1, ..., 2n-2, with fwd the forward
@@ -170,10 +173,14 @@ def _layers(l, starts, T, ends=None, budget=DEFAULT_MEMORY_BUDGET):
     replayed from its checkpoint just before the forward sweep enters it.
     The replay hands each layer's costs and weights on to the forward step,
     so with ends only backward steps compute them. A consumer that stops
-    early never replays the later blocks.
+    early never replays the later blocks. Every sweep runs in the log domain
+    if log_domain, in the linear one otherwise.
     """
     n = l.n
     n_layers = 2 * n - 1
+    # Linear sweeps are built without the argument, so a linear-only sweep
+    # class can stand in for _StackedSweep.
+    sweep = partial(_StackedSweep, log_domain=True) if log_domain else _StackedSweep
     edges = [0, n_layers]
     if ends is not None:
         reflected = l.reflected()
@@ -182,14 +189,14 @@ def _layers(l, starts, T, ends=None, budget=DEFAULT_MEMORY_BUDGET):
         keys = set(edges[1:-1])
         snaps = {}
         if keys:
-            scout = _StackedSweep(reflected, seeds, T)
+            scout = sweep(reflected, seeds, T)
             for tau_nat in range(n_layers - 1, edges[1] - 1, -1):
                 scout.step()
                 if tau_nat in keys:
                     snaps[tau_nat] = scout.snapshot()
             del scout
 
-    fwd = _StackedSweep(l, list(starts), T)
+    fwd = sweep(l, list(starts), T)
     for b0, b1 in zip(edges, edges[1:]):
         if ends is None:
             for tau in range(b0, b1):
@@ -197,15 +204,18 @@ def _layers(l, starts, T, ends=None, budget=DEFAULT_MEMORY_BUDGET):
                 yield tau, fwd, None
             continue
         # (sb, costs) per layer, popped from the end: layer b0 first. The
-        # replay's layer costs, reversed, are the forward layer's own.
+        # replay's layer costs, reversed, are the forward layer's own (a
+        # log-domain step has no emin or w).
         buf = [None] * (b1 - b0)
-        rep = _StackedSweep(reflected, seeds, T)
+        rep = sweep(reflected, seeds, T)
         if b1 < n_layers:
             rep.restore(snaps.pop(b1))
         for k in range(b1 - b0):
             rep.step()
             eps, emin, w = rep.costs
-            buf[k] = rep.s1[:, ::-1].copy(order="C"), (eps[::-1], emin, w[::-1])
+            if w is not None:
+                w = w[::-1]
+            buf[k] = rep.s1[:, ::-1].copy(order="C"), (eps[::-1], emin, w)
         del rep
         for tau in range(b0, b1):
             sb, costs = buf.pop()
@@ -340,47 +350,79 @@ def _forward_table(l, starts, ends, T):
     return _mean_table(sums, adm, tau_s, tau_e)
 
 
-def _bridge_pair_path(l, start, end, T, budget, mode="bridge"):
-    """Full per-layer statistics for the winning (start, end) pair, streamed.
+def _peak_shifted(row):
+    """A log-domain layer less its maximum (0 if the layer is all -inf), and
+    that maximum."""
+    m = row.max()
+    if m == -np.inf:
+        m = 0.0
+    return row - m, m
+
+
+def _bridge_pair_path(l, start, end, T, budget, mode="bridge", log_domain=False):
+    """Full per-layer statistics for one (start, end) pair, streamed.
 
     Serves both modes; only the layer weights and the log partition differ.
     Bridge weights come from the forward and backward sweeps; forward
-    weights from the forward sweep alone, truncated at the end's layer. The
-    layers are gathered and handed to thermal._layer_stats _WINNER_CHUNK
-    layers at a time. The name predates the forward mode;
-    perfbench/spans.py traces it by name.
+    weights from the forward sweep alone, truncated at the end's layer (at
+    the last layer if end is None). The layers are gathered and handed to
+    sweep._layer_stats _WINNER_CHUNK layers at a time.
+
+    The scan's winner runs the linear domain; thermal.thermal_average runs
+    the log domain (log_domain), where each layer's log weights are first
+    shifted by the layer's own maximum. The name predates the forward mode
+    and the log domain; perfbench/spans.py traces it by name.
     """
     bridge = mode == "bridge"
-    tau_0, tau_end = sum(start), sum(end)
+    tau_0 = sum(start)
+    tau_end = 2 * l.n - 2 if end is None else sum(end)
     taus = np.arange(tau_0, tau_end + 1)
     stats = np.empty((3, taus.size))
     sf, sb, eps = [], [], []
     for tau, fwd, sb_layer in _layers(
-        l, [start], T, [end] if bridge else None, budget
+        l, [start], T, [end] if bridge else None, budget, log_domain
     ):
         if tau < tau_0:
             continue
-        sf.append(fwd.s1[0].copy())  # the sweep's rows rotate
-        if bridge:
-            sb.append(sb_layer[0])
+        if log_domain:
+            row, scale = _peak_shifted(fwd.s1[0])
+            sf.append(row)
+            if bridge:
+                sb.append(_peak_shifted(sb_layer[0])[0])
+        else:
+            sf.append(fwd.s1[0].copy())  # the sweep's rows rotate
+            if bridge:
+                sb.append(sb_layer[0])
         eps.append(fwd.eps)
         if len(sf) == _WINNER_CHUNK or tau == tau_end:
             k = tau - tau_0 + 1
             e, w = np.concatenate(eps), np.concatenate(sf)
             if bridge:
-                with np.errstate(divide="ignore"):
-                    w = np.log(w) + np.log(np.concatenate(sb)) + e / T
+                wb = np.concatenate(sb)
+                if not log_domain:
+                    with np.errstate(divide="ignore"):
+                        w, wb = np.log(w), np.log(wb)
+                w = w + wb + e / T
+            elif log_domain:
+                w = np.exp(w)
             stats[:, k - len(sf) : k] = _layer_stats(
                 l.n, taus[k - len(sf) : k], e, w, bridge
             )
             if tau == tau_end:
                 break
             sf, sb, eps = [], [], []
+    if not log_domain:
+        scale = fwd.log1[0]
     # Paths into the end node (bridge) or onto its layer (forward).
-    v = sf[-1][end[0] - layer_bounds(l.n, tau_end)[0]] if bridge else stats[0, -1]
     with np.errstate(divide="ignore"):  # an empty last layer is refused
-        log_partition = float(np.log(v) + fwd.log1[0])
-    return _finish_path(taus, stats, log_partition, T, mode, tuple(start), tuple(end))
+        if bridge:
+            v = sf[-1][end[0] - layer_bounds(l.n, tau_end)[0]]
+            v = v if log_domain else np.log(v)
+        else:
+            v = np.log(stats[0, -1])
+        log_partition = float(v + scale)
+    end = None if end is None else tuple(end)
+    return _finish_path(taus, stats, log_partition, T, mode, tuple(start), end)
 
 
 def select_optimal(

@@ -324,13 +324,20 @@ def slice_pair(pair, start=None, end=None):
     kind; one that does not parse or is of the other kind raises ValueError.
     So a datetime bound is a full ISO 8601 date or datetime, or follows the
     time_format: "2020" is an integer and "2020-01" does not parse. Other
-    bounds are converted to the grid's type.
+    bounds are converted to the grid's type; on an integer grid a fractional
+    start rounds up and a fractional end down, and a bound with no integer
+    value (nan, inf) raises ValueError.
     """
     datetimes = pair.time_kind == TIME_KIND_DATETIME
 
-    def _coerce(v):
+    def _coerce(v, rounding):
         if not isinstance(v, str):
-            return np.datetime64(v) if datetimes else np.int64(v)
+            if datetimes:
+                return np.datetime64(v)
+            try:
+                return np.int64(rounding(v))
+            except (ValueError, OverflowError) as exc:
+                raise ValueError(f"time bound {v!r}: {exc}") from None
         try:
             kind, t = _parse_timestamp(v, pair.time_format)
         except (ValueError, OverflowError) as exc:
@@ -343,9 +350,9 @@ def slice_pair(pair, start=None, end=None):
 
     mask = np.ones(pair.n, dtype=bool)
     if start is not None:
-        mask &= pair.grid >= _coerce(start)
+        mask &= pair.grid >= _coerce(start, math.ceil)
     if end is not None:
-        mask &= pair.grid <= _coerce(end)
+        mask &= pair.grid <= _coerce(end, math.floor)
     if np.count_nonzero(mask) < 2:
         raise EmptyIntersectionError("date filter leaves fewer than two samples")
     return AlignedPair(

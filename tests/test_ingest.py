@@ -489,6 +489,17 @@ class TestAlignedPair:
         assert cut.grid.tolist() == [103, 104, 105, 106]
         assert cut.x.tolist() == [3.0, 4.0, 5.0, 6.0]
 
+    def test_fractional_bounds_keep_the_grid_inside_them(self):
+        pair = AlignedPair(x=np.arange(10.0), y=np.arange(10.0))
+        assert slice_pair(pair, start=2.5).grid.tolist() == list(range(3, 10))
+        assert slice_pair(pair, end=6.5).grid.tolist() == list(range(7))
+        cut = slice_pair(pair, start=2.0, end=np.float64(4.0))
+        assert cut.grid.tolist() == [2, 3, 4]
+        assert slice_pair(pair, start=-0.5, end=1.5).grid.tolist() == [0, 1]
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="time bound"):
+                slice_pair(pair, start=bad)
+
     def test_text_bounds_follow_the_pairs_time_format(self):
         grid = np.arange("2020-01-01", "2020-01-11", dtype="datetime64[D]")
         pair = AlignedPair(

@@ -10,9 +10,15 @@ import warnings
 import numpy as np
 import pytest
 
+from toplag import boundary
 from toplag.errors import CostOverflowError, EmptyLayerError, InvalidBoundaryError
 from toplag.ingest import AlignedPair
-from toplag.landscape import build_landscape, layer_bounds, layer_lags
+from toplag.landscape import (
+    MATERIALIZE_LIMIT,
+    build_landscape,
+    layer_bounds,
+    layer_lags,
+)
 from toplag.synth import LagScenario, brute_force_thermal, generate
 from toplag.thermal import (
     LagPath,
@@ -424,33 +430,38 @@ def delannoy_table(m):
     return d
 
 
+def _log_weight(l, start, node, T):
+    """Log of the total weight of all paths from start into node: the log
+    partition of their bridge."""
+    f = forward_weights(l, start, T)
+    return thermal_average(l, f, backward_weights(l, node, T)).log_partition
+
+
 class TestForwardWeights:
     def test_seed_node_weight(self):
         pair = random_pair(0, 5)
         l = build_landscape(pair)
         T = 1.7
-        f = forward_weights(l, (0, 0), T)
-        assert f.node_log_weight(0, 0) == pytest.approx(-l.entry(0, 0) / T)
+        assert _log_weight(l, (0, 0), (0, 0), T) == pytest.approx(-l.entry(0, 0) / T)
 
     def test_zero_cost_landscape_counts_paths(self):
         n = 5
         l = build_landscape(AlignedPair(x=np.zeros(n), y=np.zeros(n)))
-        f = forward_weights(l, (0, 0), 2.0)
         d = delannoy_table(n)
         for i in range(n):
             for j in range(n):
-                assert f.node_log_weight(i, j) == pytest.approx(math.log(d[i, j]))
+                got = _log_weight(l, (0, 0), (i, j), 2.0)
+                assert got == pytest.approx(math.log(d[i, j]))
         assert d[2, 2] == 13
 
     def test_every_node_matches_enumerated_path_sum(self):
         pair = random_pair(12, 7)
         l = build_landscape(pair)
         T = 2.0
-        f = forward_weights(l, (0, 0), T)
         for i in range(7):
             for j in range(7):
                 ref = brute_force_thermal(l, (0, 0), end=(i, j), temperature=T)
-                assert f.node_log_weight(i, j) == pytest.approx(
+                assert _log_weight(l, (0, 0), (i, j), T) == pytest.approx(
                     ref["log_partition"], abs=1e-9
                 )
 
@@ -458,13 +469,18 @@ class TestForwardWeights:
         pair = random_pair(3, 6)
         l = build_landscape(pair)
         f = forward_weights(l, (2, 2), 1.0)
-        assert f.node_log_weight(2, 3) > -np.inf
-        with pytest.raises(EmptyLayerError):
-            f.layer(1)
-        lo, _ = layer_bounds(6, 5)
-        vec, _ = f.layer(5)
+        assert _log_weight(l, (2, 2), (2, 3), 1.0) > -np.inf
         # node (1, 4) sits on layer 5 but outside the cone of (2, 2)
-        assert vec[1 - lo] == -np.inf
+        for kw in ({"backward": backward_weights(l, (1, 4), 1.0)}, {"end": (1, 4)}):
+            with pytest.raises(InvalidBoundaryError, match="not reachable"):
+                thermal_average(l, f, **kw)
+        # The sweep holds no weight there, nor on the layers before (2, 2).
+        sweep = _StackedSweep(l, [(2, 2)], 1.0, log_domain=True)
+        for tau in range(6):
+            sweep.step()
+            lo, _ = layer_bounds(6, tau)
+            assert (sweep.s1[0] == -np.inf).all() == (tau < 4)
+        assert sweep.s1[0, 1 - lo] == -np.inf
 
     def test_rejects_bad_inputs(self):
         l = build_landscape(random_pair(0, 5))
@@ -495,23 +511,20 @@ class TestBackwardWeights:
         y = np.concatenate([y[:4], y[:4][::-1]])
         l = build_landscape(AlignedPair(x=x, y=y))
         n = 8
-        f = forward_weights(l, (0, 0), 1.5)
-        b = backward_weights(l, (n - 1, n - 1), 1.5)
         for i in range(n):
             for j in range(n):
-                assert b.node_log_weight(i, j) == pytest.approx(
-                    f.node_log_weight(n - 1 - i, n - 1 - j), abs=1e-9
-                )
+                into_end = _log_weight(l, (i, j), (n - 1, n - 1), 1.5)
+                from_start = _log_weight(l, (0, 0), (n - 1 - i, n - 1 - j), 1.5)
+                assert into_end == pytest.approx(from_start, abs=1e-9)
 
     def test_matches_enumeration_from_each_node_to_end(self):
         pair = random_pair(21, 7)
         l = build_landscape(pair)
         T = 2.0
-        b = backward_weights(l, (6, 6), T)
         for i in range(7):
             for j in range(7):
                 ref = brute_force_thermal(l, (i, j), end=(6, 6), temperature=T)
-                assert b.node_log_weight(i, j) == pytest.approx(
+                assert _log_weight(l, (i, j), (6, 6), T) == pytest.approx(
                     ref["log_partition"], abs=1e-9
                 )
 
@@ -612,18 +625,13 @@ class TestThermalAverage:
             assert (int(tau) - 2 * hi) - 1e-9 <= m <= (int(tau) - 2 * lo) + 1e-9
 
     def test_partition_agrees_between_directions(self):
-        # the total bridge weight must read the same from either anchor
+        # The total bridge weight must read the same from either anchor: the
+        # time-reversed pair reads it from the mirrored end.
         pair = random_pair(15, 20)
         l = build_landscape(pair)
-        f = forward_weights(l, (0, 1), 2.0)
-        b = backward_weights(l, (18, 19), 2.0)
-        p = thermal_average(l, f, b)
-        assert p.log_partition == pytest.approx(
-            f.node_log_weight(18, 19), abs=1e-9
-        )
-        assert f.node_log_weight(18, 19) == pytest.approx(
-            b.node_log_weight(0, 1), abs=1e-9
-        )
+        r = l.reflected()
+        p = _log_weight(l, (0, 1), (18, 19), 2.0)
+        assert p == pytest.approx(_log_weight(r, (1, 0), (19, 18), 2.0), abs=1e-9)
 
     def test_mismatched_fields_rejected(self):
         pair = random_pair(17, 10)
@@ -806,9 +814,9 @@ class TestSteadyStateShortcuts:
         assert not any(began)
 
 
-# Reference log-space sweep: the materializing APIs' own recursion before
-# they became one-field log-domain runs of _StackedSweep. The new fields
-# must reproduce its layers byte for byte.
+# Reference log-space sweep: the log-space API's own recursion before it
+# ran on _StackedSweep. The log-domain sweep must reproduce its layers byte
+# for byte.
 def _log_accumulate(out, prev, lo_prev, lo, shift):
     """out[i] = logaddexp(out[i], prev[i - shift]) on the overlapping rows."""
     hi_prev = lo_prev + prev.size - 1
@@ -874,25 +882,23 @@ def _reference_field(l, node, T, backward):
     return vecs, logscale, i + j, 2 * n - 2
 
 
-def _layer_bytes(vecs):
-    return [None if v is None else v.tobytes() for v in vecs]
-
-
 class TestWeightFieldsMatchReference:
     @pytest.mark.parametrize("T", [10.0, 2.0, 0.05, 0.004, 1e-4])
     @pytest.mark.parametrize("n", [2, 3, 7, 24, 60, 150])
     def test_fields_are_byte_identical(self, n, T):
+        # A forward field runs on the landscape, a backward one on the
+        # time-reversed landscape from the mirrored node.
         pair = random_pair(n, n, scale=2.0)
         nodes = [(0, 0), (n - 1, n - 1), (0, n - 1), (n // 2, n // 3)]
         for cost in ("minus", "plus", "mixed"):
             l = build_landscape(pair, mode=cost)
-            for node in nodes:
-                for backward, build in ((False, forward_weights), (True, backward_weights)):
-                    got = build(l, node, T)
-                    vecs, logscale, tau_min, tau_max = _reference_field(l, node, T, backward)
-                    assert _layer_bytes(got.vecs) == _layer_bytes(vecs)
-                    assert got.logscale.tobytes() == logscale.tobytes()
-                    assert (got.tau_min, got.tau_max) == (tau_min, tau_max)
+            r = l.reflected()
+            for i, j in nodes:
+                for land, seed in ((l, (i, j)), (r, (n - 1 - i, n - 1 - j))):
+                    sweep = _StackedSweep(land, [seed], T, log_domain=True)
+                    for tau, row in _log_sweep(land, seed, T):
+                        sweep.step()
+                        assert sweep.s1[0].tobytes() == row.tobytes()
 
     @pytest.mark.parametrize("T", [2.0, 1e-3])
     def test_stacked_log_sweep_equals_its_one_field_runs(self, T):
@@ -908,9 +914,40 @@ class TestWeightFieldsMatchReference:
                 assert stacked.s1[f].tobytes() == single.s1[0].tobytes()
 
 
+class _ReferenceField:
+    """A weight field materialized as the log-space API once held it.
+
+    vecs[tau] holds per-node log weights over the full extent of layer tau,
+    shifted so the layer maximum is 0 (None outside the field's layer
+    range); the true log weight at a node is vecs[tau][k] + logscale[tau].
+    """
+
+    def __init__(self, l, field):
+        self.n = l.n
+        self.temperature = field.temperature
+        self.origin = field.origin
+        backward = field.direction == "backward"
+        self.vecs, self.logscale, self.tau_min, self.tau_max = _reference_field(
+            l, field.origin, field.temperature, backward
+        )
+
+    def layer(self, tau):
+        if not self.tau_min <= tau <= self.tau_max:
+            raise EmptyLayerError(tau)
+        return self.vecs[tau], float(self.logscale[tau])
+
+    def node_log_weight(self, i, j):
+        tau = i + j
+        vec, scale = self.layer(tau)
+        lo, hi = layer_bounds(self.n, tau)
+        if not lo <= i <= hi:
+            raise EmptyLayerError(tau)
+        return float(vec[i - lo] + scale)
+
+
 def _reference_thermal_average(l, forward, backward=None, end=None):
     """thermal_average as it was before it took its statistics from
-    _layer_stats: one layer at a time."""
+    _layer_stats: one layer at a time, on _ReferenceField fields."""
     n = l.n
     T = forward.temperature
     si, sj = forward.origin
@@ -985,8 +1022,9 @@ def _path_bytes(p):
 def _assert_same_path_or_error(l, forward, backward=None, end=None):
     """thermal_average has the reference's bytes, or both raise
     EmptyLayerError on the same layer."""
+    ref_b = None if backward is None else _ReferenceField(l, backward)
     try:
-        want = _reference_thermal_average(l, forward, backward, end)
+        want = _reference_thermal_average(l, _ReferenceField(l, forward), ref_b, end)
     except EmptyLayerError as exc:
         with pytest.raises(EmptyLayerError) as got:
             thermal_average(l, forward, backward, end)
@@ -1023,21 +1061,60 @@ class TestThermalAverageMatchesReference:
                 )
 
     # A layer without weight, mid-chunk and in a later chunk; log-domain
-    # fields never lose a whole layer, so the test empties one by hand.
+    # fields never lose a whole layer, so the test empties one by hand: the
+    # forward sweep publishes it as -inf, while the rows the next steps read
+    # keep their weights, as the reference field's other layers do.
     @pytest.mark.parametrize("offset", [5, 70])
     @pytest.mark.parametrize("bridge", [True, False])
-    def test_empty_layer(self, offset, bridge):
+    def test_empty_layer(self, monkeypatch, offset, bridge):
         n = 50
         l = build_landscape(random_pair(3, n))
         f = forward_weights(l, (0, 1), 0.5)
         b = backward_weights(l, (n - 1, n - 2), 0.5) if bridge else None
         tau = 1 + offset
-        f.vecs[tau] = np.full_like(f.vecs[tau], -np.inf)
-        f.vecs[tau + 3] = np.full_like(f.vecs[tau + 3], -np.inf)
-        with pytest.raises(EmptyLayerError) as got:
-            thermal_average(l, f, b)
+        emptied = (tau, tau + 3)
+
+        class Emptying(_StackedSweep):
+            def step(self, costs=None):
+                super().step(costs)
+                if self.l is l and self.tau in emptied:
+                    self.s1 = np.full(self.s1.shape, -np.inf)
+
+        with monkeypatch.context() as m:
+            m.setattr(boundary, "_StackedSweep", Emptying)
+            with pytest.raises(EmptyLayerError) as got:
+                thermal_average(l, f, b)
         assert got.value.tau == tau
-        _assert_same_path_or_error(l, f, b)
+        ref_f = _ReferenceField(l, f)
+        for t in emptied:
+            ref_f.vecs[t] = np.full_like(ref_f.vecs[t], -np.inf)
+        ref_b = None if b is None else _ReferenceField(l, b)
+        with pytest.raises(EmptyLayerError) as want:
+            _reference_thermal_average(l, ref_f, ref_b)
+        assert want.value.tau == tau
+
+    @pytest.mark.parametrize("T", [0.004, 2.0])
+    @pytest.mark.parametrize("mode", ["bridge", "forward"])
+    def test_checkpointed_replay_is_byte_identical(self, mode, T):
+        # A budget of 48 bytes per node splits the one-field backward sweep
+        # into replay blocks, with a log-domain scout and replay.
+        n = 41
+        l = build_landscape(random_pair(n + 1, n, scale=2.0))
+        assert len(boundary._block_edges(2 * n - 1, n * 8, 48 * n)) > 3
+        for start, end in self._anchors(n):
+            whole, blocked = (
+                boundary._bridge_pair_path(l, start, end, T, budget, mode, True)
+                for budget in (boundary.DEFAULT_MEMORY_BUDGET, 48 * n)
+            )
+            assert _path_bytes(blocked) == _path_bytes(whole)
+
+    def test_no_size_cap(self):
+        # The fields were once materialized, n^2 doubles each, and refused
+        # above the dense limit.
+        n = MATERIALIZE_LIMIT + 1
+        l = build_landscape(random_pair(1, n))
+        p = thermal_average(l, forward_weights(l, (0, 0), 2.0), end=(40, 40))
+        assert p.taus.size == 81 and np.isfinite(p.mean_lag).all()
 
     @pytest.mark.parametrize("bridge", [True, False])
     def test_cost_sums_that_overflow_are_refused(self, bridge):
