@@ -22,8 +22,10 @@ One generator, _layers, owns all sweeping: it steps the forward sweep layer
 by layer and, when given ends, runs the backward scout, takes the
 checkpoints and replays each block, handing every layer over as a
 (forward, backward) pair. The score tables and the winner's trajectory only
-do per-layer arithmetic on what it yields; the winner's trajectory is one
-function for both modes.
+do per-layer arithmetic on what it yields. The tables run the scaled linear
+domain. The winner's trajectory runs the log domain and is one function for
+both modes, shared with thermal.thermal_average: the winner's path is
+thermal_average of the winning pair, and only its energy is the table entry.
 
 Stored-scale factors cancel inside each layer's cost ratio, so the matrix
 products need no log bookkeeping; pairs whose products underflow fall back
@@ -359,19 +361,20 @@ def _peak_shifted(row):
     return row - m, m
 
 
-def _bridge_pair_path(l, start, end, T, budget, mode="bridge", log_domain=False):
-    """Full per-layer statistics for one (start, end) pair, streamed.
+def _bridge_pair_path(l, start, end, T, budget, mode="bridge"):
+    """Full per-layer statistics for one (start, end) pair, streamed in the
+    log domain.
 
     Serves both modes; only the layer weights and the log partition differ.
     Bridge weights come from the forward and backward sweeps; forward
     weights from the forward sweep alone, truncated at the end's layer (at
-    the last layer if end is None). The layers are gathered and handed to
-    sweep._layer_stats _WINNER_CHUNK layers at a time.
+    the last layer if end is None). Each layer's log weights are shifted by
+    the layer's own maximum, and the layers are handed to sweep._layer_stats
+    _WINNER_CHUNK layers at a time.
 
-    The scan's winner runs the linear domain; thermal.thermal_average runs
-    the log domain (log_domain), where each layer's log weights are first
-    shifted by the layer's own maximum. The name predates the forward mode
-    and the log domain; perfbench/spans.py traces it by name.
+    The scan's winner and thermal.thermal_average both run it, so the
+    winner's trajectory is thermal_average of the winning pair. The name
+    predates the forward mode; perfbench/spans.py traces it by name.
     """
     bridge = mode == "bridge"
     tau_0 = sum(start)
@@ -380,47 +383,33 @@ def _bridge_pair_path(l, start, end, T, budget, mode="bridge", log_domain=False)
     stats = np.empty((3, taus.size))
     sf, sb, eps = [], [], []
     for tau, fwd, sb_layer in _layers(
-        l, [start], T, [end] if bridge else None, budget, log_domain
+        l, [start], T, [end] if bridge else None, budget, log_domain=True
     ):
         if tau < tau_0:
             continue
-        if log_domain:
-            row, scale = _peak_shifted(fwd.s1[0])
-            sf.append(row)
-            if bridge:
-                sb.append(_peak_shifted(sb_layer[0])[0])
-        else:
-            sf.append(fwd.s1[0].copy())  # the sweep's rows rotate
-            if bridge:
-                sb.append(sb_layer[0])
+        row, scale = _peak_shifted(fwd.s1[0])
+        sf.append(row)
+        if bridge:
+            sb.append(_peak_shifted(sb_layer[0])[0])
         eps.append(fwd.eps)
         if len(sf) == _WINNER_CHUNK or tau == tau_end:
             k = tau - tau_0 + 1
             e, w = np.concatenate(eps), np.concatenate(sf)
             if bridge:
-                wb = np.concatenate(sb)
-                if not log_domain:
-                    with np.errstate(divide="ignore"):
-                        w, wb = np.log(w), np.log(wb)
-                w = w + wb + e / T
-            elif log_domain:
-                w = np.exp(w)
+                w = w + np.concatenate(sb) + e / T
             stats[:, k - len(sf) : k] = _layer_stats(
-                l.n, taus[k - len(sf) : k], e, w, bridge
+                l.n, taus[k - len(sf) : k], e, w
             )
             if tau == tau_end:
                 break
             sf, sb, eps = [], [], []
-    if not log_domain:
-        scale = fwd.log1[0]
     # Paths into the end node (bridge) or onto its layer (forward).
-    with np.errstate(divide="ignore"):  # an empty last layer is refused
-        if bridge:
-            v = sf[-1][end[0] - layer_bounds(l.n, tau_end)[0]]
-            v = v if log_domain else np.log(v)
-        else:
+    if bridge:
+        v = sf[-1][end[0] - layer_bounds(l.n, tau_end)[0]]
+    else:
+        with np.errstate(divide="ignore"):  # an empty last layer is refused
             v = np.log(stats[0, -1])
-        log_partition = float(v + scale)
+    log_partition = float(v + scale)
     end = None if end is None else tuple(end)
     return _finish_path(taus, stats, log_partition, T, mode, tuple(start), end)
 
@@ -477,8 +466,10 @@ def select_optimal(
         path = _bridge_pair_path(
             l, starts[s_idx], ends[e_idx], T, memory_budget, mode
         )
-    # The table entry is the authoritative score; the per-layer recomputation
-    # agrees to rounding but would not compare exactly equal.
+    # The table entry is the score the pairs were ranked by, so it stays the
+    # winner's energy. The pair path's own mean agrees with it to rounding
+    # at warm T; at cold T the linear table can lose mass that the log-domain
+    # path keeps, and the two can differ (ROADMAP item 3).
     path.energy = float(table[s_idx, e_idx])
 
     return SelectionResult(

@@ -37,6 +37,7 @@ from .consistency import resample_lag_to_time, run_consistency
 from .errors import DepthTooLargeError, ToplagError
 from .ingest import AlignedPair, parse_csv, slice_pair, standardize, synchronize
 from .landscape import DistanceMode, build_landscape
+from .sweep import _check_temperature
 from .synth import LagScenario, brute_force_thermal, generate
 from .thermal import backward_weights, forward_weights, thermal_average
 from .zerotemp import optimal_path
@@ -411,10 +412,8 @@ def cmd_oracle(args):
     n = args.size
     if n < 2 or n > 10:
         _fail("config", ValueError("oracle size must be in [2, 10]"), 4)
-    T = args.temperature
-    if not 0 < T < math.inf:
-        exc = ValueError(f"temperature must be finite and positive, got {T!r}")
-        _fail("config", exc, 4)
+    with _exit_on("config", 4, ValueError):
+        T = _check_temperature(args.temperature)
     rng = np.random.default_rng(args.seed)
     pair = AlignedPair(x=rng.normal(size=n), y=rng.normal(size=n))
     l = build_landscape(pair, mode=DistanceMode.canonical(args.distance))

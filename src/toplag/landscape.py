@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LatticeTooLargeError
+from .errors import InvalidBoundaryError, LatticeTooLargeError
 
 # Above this size the full cost matrix is refused; layers are generated
 # inside sweeps (n = 4096 is 128 MB of float64, the last comfortable size).
@@ -63,6 +63,15 @@ def layer_bounds(n, tau):
     lo = max(0, tau - (n - 1))
     hi = min(tau, n - 1)
     return lo, hi
+
+
+def check_node(n, node):
+    """node as an (i, j) pair of ints; InvalidBoundaryError unless it lies
+    on the n x n lattice."""
+    i, j = int(node[0]), int(node[1])
+    if not (0 <= i < n and 0 <= j < n):
+        raise InvalidBoundaryError(f"node ({i}, {j}) outside the {n} x {n} lattice")
+    return i, j
 
 
 def layer_lags(n, tau):

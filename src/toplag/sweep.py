@@ -8,17 +8,17 @@ seed node to each lattice node:
     G(node) = [G(i, j-1) + G(i-1, j) + G(i-1, j-1)] * exp(-eps(node)/T)
 
 One sweep, _StackedSweep, runs this recursion in either of two number
-domains. The linear domain, which the boundary scan streams, renormalizes
-each layer to a unit maximum and keeps the exact log of the scale per
-field; ratios and log partition functions are reconstructed from the
-bookkeeping. The log domain carries true log weights through logaddexp,
-which gives the recursion unbounded dynamic range: near the cold limit,
-within-layer weight ratios overwhelm any linear double, scaled or not.
-thermal.thermal_average streams one-field log-domain runs.
+domains. The linear domain, which the boundary scan's score tables stream,
+renormalizes each layer to a unit maximum and keeps the exact log of the
+scale per field; ratios are reconstructed from the bookkeeping. The log
+domain carries true log weights through logaddexp, which gives the
+recursion unbounded dynamic range: near the cold limit, within-layer weight
+ratios overwhelm any linear double, scaled or not. boundary's pair path,
+which serves both the scan's winner and thermal.thermal_average, streams
+one-field log-domain runs.
 
-One kernel, _layer_stats, turns a pair's per-layer weights into its lag
-and cost statistics, and _finish_path into a LagPath; boundary's pair path
-serves both the scan's winner and thermal_average with them.
+One kernel, _layer_stats, turns a pair's per-layer log weights into its lag
+and cost statistics, and _finish_path into a LagPath.
 
 The backward sweep is the forward sweep on the time-reversed pair, so one
 sweep implementation serves both directions.
@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CostOverflowError, EmptyLayerError, InvalidBoundaryError
-from .landscape import layer_bounds
+from .errors import CostOverflowError, EmptyLayerError
+from .landscape import check_node, layer_bounds
 
 _WINNER_CHUNK = 64  # layers per _layer_stats call on a pair's path
 
@@ -86,12 +86,8 @@ class _StackedSweep:
         self.zero = -np.inf if log_domain else 0.0
         self.n_fields = len(seeds)
         self.seed_by_tau = {}
-        for f, (i, j) in enumerate(seeds):
-            i, j = int(i), int(j)
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise InvalidBoundaryError(
-                    f"seed ({i}, {j}) outside the {self.n} x {self.n} lattice"
-                )
+        for f, seed in enumerate(seeds):
+            i, j = check_node(self.n, seed)
             self.seed_by_tau.setdefault(i + j, []).append((f, i))
         # np.zeros leaves the pages of a linear sweep's rows unmapped until a
         # step writes them, which keeps the scan's peak memory down.
@@ -252,16 +248,15 @@ class LagPath:
     end: tuple | None
 
 
-def _layer_stats(n, taus, eps, w, log_weights):
+def _layer_stats(n, taus, eps, w):
     """Per-layer sum(p), sum(x p) and sum(eps p), x the lag, over the
     consecutive layers taus, as a (3, layers) array.
 
-    eps and w hold the layers' costs and weights, concatenated. Bridge
-    weights come as log weights (log_weights), each layer's shifted by its
-    peak before exp; forward weights are p itself. A layer's peak comes from
-    an exact maximum.reduceat and its sums from its own contiguous slice, so
-    every number has the bits of a layer-by-layer evaluation. Sums that
-    overflow come back inf, without a warning.
+    eps and w hold the layers' costs and log weights, concatenated; p is
+    exp(w) after each layer's w is shifted by its peak. A layer's peak comes
+    from an exact maximum.reduceat and its sums from its own contiguous
+    slice, so every number has the bits of a layer-by-layer evaluation. Sums
+    that overflow come back inf, without a warning.
     """
     los = np.maximum(0, taus - (n - 1))
     widths = np.minimum(taus, n - 1) - los + 1
@@ -269,13 +264,10 @@ def _layer_stats(n, taus, eps, w, log_weights):
     np.cumsum(widths, out=offs[1:])
     prod = np.empty((3, offs[-1]))
     p = prod[0]
-    if log_weights:
-        # A layer all at -inf gets a peak of 0, hence zero weights.
-        peak = np.maximum.reduceat(w, offs[:-1])
-        peak[peak == -np.inf] = 0.0
-        np.exp(w - np.repeat(peak, widths), out=p)
-    else:
-        p[:] = w
+    # A layer all at -inf gets a peak of 0, hence zero weights.
+    peak = np.maximum.reduceat(w, offs[:-1])
+    peak[peak == -np.inf] = 0.0
+    np.exp(w - np.repeat(peak, widths), out=p)
     # lag x = tau - 2i at position offs[k] + i - lo of layer k
     x = np.repeat(taus - 2 * los + 2 * offs[:-1], widths)
     x -= 2 * np.arange(offs[-1])

@@ -3,7 +3,9 @@
 forward_weights and backward_weights describe one node's weight field.
 thermal_average streams the pair they name through the scan's own pair
 path, boundary._bridge_pair_path, with every sweep in the log domain, whose
-unbounded dynamic range makes it the reference for the linear-domain scan.
+unbounded dynamic range makes it the reference for the scan's linear-domain
+score tables. The scan's winner trajectory is its output for the winning
+pair.
 Its memory follows the scan's memory-budget plan; nothing is quadratic in n.
 
 Bridge mode conditions on both anchors: the weight of passing through a node
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 
 from .boundary import DEFAULT_MEMORY_BUDGET, _bridge_pair_path
 from .errors import InvalidBoundaryError
+from .landscape import check_node
 
 # Re-exported: LagPath and _StackedSweep have always been importable from here.
 from .sweep import LagPath, _StackedSweep, _check_temperature  # noqa: F401
@@ -40,16 +43,9 @@ class WeightField:
     direction: str
 
 
-def _check_node(n, node):
-    i, j = int(node[0]), int(node[1])
-    if not (0 <= i < n and 0 <= j < n):
-        raise InvalidBoundaryError(f"node ({i}, {j}) outside the {n} x {n} lattice")
-    return i, j
-
-
 def _field(l, node, temperature, direction):
     T = _check_temperature(temperature)
-    return WeightField(l.n, T, _check_node(l.n, node), direction)
+    return WeightField(l.n, T, check_node(l.n, node), direction)
 
 
 def forward_weights(l, start, temperature):
@@ -85,12 +81,10 @@ def thermal_average(l, forward, backward=None, end=None):
             raise InvalidBoundaryError("fields disagree on lattice or temperature")
         end = backward.origin
     if end is not None:
-        ei, ej = end = _check_node(n, end)
+        ei, ej = end = check_node(n, end)
         if ei < si or ej < sj:
             raise InvalidBoundaryError(
                 f"end ({ei}, {ej}) not reachable from start ({si}, {sj})"
             )
     mode = "bridge" if bridge else "forward"
-    return _bridge_pair_path(
-        l, (si, sj), end, T, DEFAULT_MEMORY_BUDGET, mode, log_domain=True
-    )
+    return _bridge_pair_path(l, (si, sj), end, T, DEFAULT_MEMORY_BUDGET, mode)

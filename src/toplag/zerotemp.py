@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidBoundaryError
-from .landscape import layer_bounds
+from .landscape import check_node, layer_bounds
 
 # Staged bits per plane between two packs into the bit-planes.
 _STAGE_BITS = 1 << 16
@@ -67,11 +67,8 @@ def optimal_path(l, start=None, end=None):
         start = (0, 0)
     if end is None:
         end = (n - 1, n - 1)
-    si, sj = map(int, start)
-    ei, ej = map(int, end)
-    for i, j in ((si, sj), (ei, ej)):
-        if not (0 <= i < n and 0 <= j < n):
-            raise InvalidBoundaryError(f"node ({i}, {j}) outside the {n} x {n} lattice")
+    si, sj = check_node(n, start)
+    ei, ej = check_node(n, end)
     if ei < si or ej < sj:
         raise InvalidBoundaryError(
             f"end ({ei}, {ej}) not reachable from start ({si}, {sj})"

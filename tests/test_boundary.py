@@ -17,11 +17,10 @@ from toplag.boundary import (
 from toplag.errors import (
     CostOverflowError,
     DepthTooLargeError,
-    EmptyLayerError,
     NoAdmissiblePairError,
 )
 from toplag.ingest import AlignedPair
-from toplag.landscape import EnergyLandscape, build_landscape, layer_bounds, layer_lags
+from toplag.landscape import EnergyLandscape, build_landscape
 from toplag.synth import LagScenario, brute_force_thermal, generate
 from toplag.thermal import (
     _StackedSweep,
@@ -32,7 +31,7 @@ from toplag.thermal import (
 from toplag.zerotemp import optimal_path
 
 from conftest import random_pair
-from test_thermal import _ReferenceSweep
+from test_thermal import _ReferenceField, _ReferenceSweep, _reference_thermal_average
 
 
 class TestEnumerateBoundaries:
@@ -279,32 +278,28 @@ class _ReferenceSweepWithCosts(_ReferenceSweep):
         self.costs = (eps, emin, np.exp((emin - eps) / self.T))
 
 
-def _result_bytes(res):
-    p = res.best
-    return (
-        res.energy_table.tobytes(),
-        p.mean_lag.tobytes(),
-        p.layer_cost.tobytes(),
-        repr(p.energy),
-        repr(p.log_partition),
-        res.best_start,
-        res.best_end,
-        repr(res.runner_up_gap),
-        res.inadmissible,
-        res.underflowed,
-    )
-
-
 class TestScanMatchesReferenceSweep:
-    """select_optimal gives the same bytes on the padded-row sweep as on the
-    reference sweep it replaced (tests/test_thermal.py)."""
+    """The score tables give the same bytes on the padded-row sweep as on the
+    reference sweep it replaced (tests/test_thermal.py). That sweep is
+    linear only, as the tables are; the winner's log-domain path is pinned
+    by TestWinnerIsThermalAverage and TestWinnerStatistics."""
 
-    def _compare(self, monkeypatch, l, **kw):
-        got = select_optimal(l, **kw)
+    def _compare(
+        self, monkeypatch, l, T, depth, mode, budget=boundary.DEFAULT_MEMORY_BUDGET
+    ):
+        spec = enumerate_boundaries(l.n, depth)
+        args = (l, spec.start_nodes, spec.end_nodes, T)
+
+        def table():
+            if mode == "bridge":
+                return boundary._bridge_table(*args, budget)[0]
+            return boundary._forward_table(*args)[0]
+
+        got = table()
         with monkeypatch.context() as m:
             m.setattr(boundary, "_StackedSweep", _ReferenceSweepWithCosts)
-            want = select_optimal(l, **kw)
-        assert _result_bytes(got) == _result_bytes(want)
+            want = table()
+        assert got.tobytes() == want.tobytes()
         return got
 
     _fixture = TestSelectOptimal._fixture
@@ -312,32 +307,29 @@ class TestScanMatchesReferenceSweep:
     @pytest.mark.parametrize("mode", ["bridge", "forward"])
     def test_one_replay_block(self, monkeypatch, mode):
         l = self._fixture(seed=13, n=80)
-        self._compare(monkeypatch, l, temperature=2.0, depth=6, mode=mode)
+        self._compare(monkeypatch, l, 2.0, 6, mode)
 
     @pytest.mark.parametrize("mode", ["bridge", "forward"])
     def test_several_replay_blocks(self, monkeypatch, mode):
         l = self._fixture(seed=13, n=80)
-        tight = 80 * 11 * 8 * 4
-        self._compare(
-            monkeypatch, l, temperature=0.5, depth=6, mode=mode, memory_budget=tight
-        )
+        self._compare(monkeypatch, l, 0.5, 6, mode, budget=80 * 11 * 8 * 4)
 
     def test_cold_scan_with_underflow_fallbacks(self, monkeypatch):
         # T = 0.01 sends many pair-layers to the log-space fallback and
         # underflows some pairs outright; the budget forces several blocks.
         l = self._fixture(seed=0, n=60)
-        res = self._compare(
-            monkeypatch, l, temperature=0.01, depth=10, memory_budget=36480
-        )
-        assert res.underflowed > 0
+        table = self._compare(monkeypatch, l, 0.01, 10, "bridge", budget=36480)
+        assert np.isinf(table).any()
 
 
-# Reference scan: the score tables, winner paths and pair selection as they
-# were written before the sweeping moved into one layer generator, each with
-# its own scout, checkpoint and replay. select_optimal must reproduce their
-# results byte for byte. They run the live sweep, whose s1 is a transposed
-# view of node-major rows; the arithmetic is the original, on a C-order copy
-# of s1, because matrix products and row sums round by memory order.
+# Reference scan: the score tables and pair selection as they were written
+# before the sweeping moved into one layer generator, each with its own
+# scout, checkpoint and replay, and the winner's path from the layer-by-layer
+# reference of tests/test_thermal.py. select_optimal must reproduce their
+# results byte for byte. The tables run the live sweep, whose s1 is a
+# transposed view of node-major rows; the arithmetic is the original, on a
+# C-order copy of s1, because matrix products and row sums round by memory
+# order.
 def _ref_log_layer_cost(sf_row, sb_row, eps, T):
     with np.errstate(divide="ignore"):
         lw = np.log(sf_row) + np.log(sb_row) + eps / T
@@ -440,99 +432,14 @@ def _ref_forward_table(l, starts, ends, T):
     return table, adm
 
 
-def _ref_bridge_pair_path(l, start, end, T, budget):
-    n = l.n
-    si, sj = start
-    ei, ej = end
-    tau_0, tau_end = si + sj, ei + ej
-    n_layers = 2 * n - 1
-    reflected = l.reflected()
-    seed_b = [(n - 1 - ei, n - 1 - ej)]
-
-    edges = _block_edges(n_layers, n * 8, budget)
-    keys = set(edges[1:-1])
-    snaps = {}
-    if keys:
-        lowest = min(keys)
-        scout = _StackedSweep(reflected, seed_b, T)
-        for tau_r in range(n_layers):
-            scout.step()
-            tau_nat = n_layers - 1 - tau_r
-            if tau_nat in keys:
-                snaps[tau_nat] = scout.snapshot()
-                if tau_nat == lowest:
-                    break
-        del scout
-
-    taus = np.arange(tau_0, tau_end + 1)
-    mean = np.zeros(taus.size)
-    cost = np.zeros(taus.size)
-    log_partition = -np.inf
-    fwd = _StackedSweep(l, [start], T)
-    for k in range(len(edges) - 1):
-        b0, b1 = edges[k], edges[k + 1] - 1
-        rep = _StackedSweep(reflected, seed_b, T)
-        if edges[k + 1] < n_layers:
-            rep.restore(snaps.pop(edges[k + 1]))
-        buf = {}
-        for tau_nat in range(b1, b0 - 1, -1):
-            rep.step()
-            buf[tau_nat] = rep.s1[0, ::-1].copy()
-        del rep
-        for tau in range(b0, min(b1, tau_end) + 1):
-            fwd.step()
-            sb = buf.pop(tau, None)
-            if not tau_0 <= tau <= tau_end:
-                continue
-            sf = fwd.s1[0]
-            eps = fwd.eps
-            with np.errstate(divide="ignore"):
-                lw = np.log(sf) + np.log(sb) + eps / T
-            finite = np.isfinite(lw)
-            if not finite.any():
-                raise EmptyLayerError(tau)
-            p = np.exp(lw - lw[finite].max())
-            z = p.sum()
-            x = layer_lags(n, tau)
-            idx = tau - tau_0
-            mean[idx] = float((x * p).sum() / z)
-            cost[idx] = float((eps * p).sum() / z)
-            if tau == tau_end:
-                lo, _ = layer_bounds(n, tau)
-                v = sf[ei - lo]
-                if v > 0:
-                    log_partition = float(np.log(v) + fwd.log1[0])
-        if b1 >= tau_end:
-            break
-    return taus, mean, cost, log_partition
-
-
-def _ref_forward_pair_path(l, start, end, T):
-    n = l.n
-    si, sj = start
-    tau_0 = si + sj
-    tau_end = end[0] + end[1]
-    taus = np.arange(tau_0, tau_end + 1)
-    mean = np.zeros(taus.size)
-    cost = np.zeros(taus.size)
-    log_partition = -np.inf
-    fwd = _StackedSweep(l, [start], T)
-    for tau in range(tau_end + 1):
-        fwd.step()
-        if tau < tau_0:
-            continue
-        sf = fwd.s1[0]
-        z = sf.sum()
-        if not z > 0:
-            raise EmptyLayerError(tau)
-        eps = fwd.eps
-        x = layer_lags(n, tau)
-        idx = tau - tau_0
-        mean[idx] = float((x * sf).sum() / z)
-        cost[idx] = float((eps * sf).sum() / z)
-        if tau == tau_end:
-            log_partition = float(np.log(z) + fwd.log1[0])
-    return taus, mean, cost, log_partition
+def _ref_pair_path(l, start, end, T, mode):
+    """The pair's LagPath from tests/test_thermal.py's layer-by-layer
+    reference, on materialized log-space fields."""
+    f = _ReferenceField(l, forward_weights(l, start, T))
+    if mode == "bridge":
+        b = _ReferenceField(l, backward_weights(l, end, T))
+        return _reference_thermal_average(l, f, b)
+    return _reference_thermal_average(l, f, end=end)
 
 
 def _ref_select(l, T, mode, depth, budget):
@@ -554,21 +461,14 @@ def _ref_select(l, T, mode, depth, budget):
     s_idx, e_idx = best_pair
     vals = np.sort(table[adm])
     gap = float(vals[1] - vals[0]) if vals.size > 1 else float("nan")
-    if mode == "bridge":
-        taus, mean, cost, log_z = _ref_bridge_pair_path(
-            l, starts[s_idx], ends[e_idx], T, budget
-        )
-    else:
-        taus, mean, cost, log_z = _ref_forward_pair_path(
-            l, starts[s_idx], ends[e_idx], T
-        )
+    path = _ref_pair_path(l, starts[s_idx], ends[e_idx], T, mode)
     return (
         table.tobytes(),
-        taus.tobytes(),
-        mean.tobytes(),
-        cost.tobytes(),
+        path.taus.tobytes(),
+        path.mean_lag.tobytes(),
+        path.layer_cost.tobytes(),
         repr(float(table[s_idx, e_idx])),
-        repr(log_z),
+        repr(path.log_partition),
         starts[s_idx],
         ends[e_idx],
         repr(gap),
@@ -749,15 +649,26 @@ class TestScanMatchesParentScan:
         assert count("snapshot", 1, True) == len(edges) - 2
 
 
+def _path_bytes(p):
+    """A LagPath's fields but energy, which a scan's winner takes from its
+    table."""
+    return (
+        p.taus.tobytes(),
+        p.mean_lag.tobytes(),
+        p.layer_cost.tobytes(),
+        repr(p.log_partition),
+        repr(p.temperature),
+        p.mode,
+        p.start,
+        p.end,
+    )
+
+
 class TestWinnerStatistics:
     """The winner's statistics, taken _WINNER_CHUNK layers at a time, against
-    the layer-by-layer reference paths above."""
+    the layer-by-layer reference path."""
 
     _fixture = TestSelectOptimal._fixture
-
-    @staticmethod
-    def _bytes(taus, mean, cost, log_z):
-        return taus.tobytes(), mean.tobytes(), cost.tobytes(), repr(log_z)
 
     def _pair(self, chunks, extra):
         """A start and end whose path spans chunks * _WINNER_CHUNK + extra
@@ -772,11 +683,9 @@ class TestWinnerStatistics:
         l = self._fixture(seed=13, n=80)
         start, end = self._pair(chunks, extra)
         got = boundary._bridge_pair_path(l, start, end, 2.0, budget)
-        want = _ref_bridge_pair_path(l, start, end, 2.0, budget)
+        want = _ref_pair_path(l, start, end, 2.0, "bridge")
         assert got.taus.size == chunks * boundary._WINNER_CHUNK + extra
-        assert self._bytes(
-            got.taus, got.mean_lag, got.layer_cost, got.log_partition
-        ) == self._bytes(*want)
+        assert _path_bytes(got) == _path_bytes(want)
 
     @pytest.mark.parametrize("chunks, extra", [(1, -1), (1, 0), (1, 1), (2, 1)])
     def test_forward_spans_around_a_chunk(self, chunks, extra):
@@ -785,32 +694,45 @@ class TestWinnerStatistics:
         got = boundary._bridge_pair_path(
             l, start, end, 0.5, boundary.DEFAULT_MEMORY_BUDGET, mode="forward"
         )
-        want = _ref_forward_pair_path(l, start, end, 0.5)
-        assert self._bytes(
-            got.taus, got.mean_lag, got.layer_cost, got.log_partition
-        ) == self._bytes(*want)
+        want = _ref_pair_path(l, start, end, 0.5, "forward")
+        assert _path_bytes(got) == _path_bytes(want)
 
-    # At T = 0.004 these pairs have no bridge weight on one layer: tau 4 in
-    # the first chunk of (0, 0) -> (34, 39), tau 73 in the second chunk of
-    # (0, 1) -> (39, 39).
+
+class TestWinnerIsThermalAverage:
+    """select_optimal's winner trajectory is thermal_average of the winning
+    pair, byte for byte, at cold and warm T; only its energy is the table
+    entry."""
+
+    _fixture = TestSelectOptimal._fixture
+
     @pytest.mark.parametrize(
-        "start, end, tau", [((0, 0), (34, 39), 4), ((0, 1), (39, 39), 73)]
+        "budget", [boundary.DEFAULT_MEMORY_BUDGET, 36480], ids=["one-block", "blocks"]
     )
-    def test_layer_without_bridge_weight_mid_chunk(self, start, end, tau):
-        l = self._fixture(seed=0, n=40)
-        chunk = boundary._WINNER_CHUNK
-        assert 0 < (tau - sum(start)) % chunk < chunk - 1
-        budget = boundary.DEFAULT_MEMORY_BUDGET
-        with pytest.raises(EmptyLayerError) as want:
-            _ref_bridge_pair_path(l, start, end, 0.004, budget)
-        with pytest.raises(EmptyLayerError) as got:
-            boundary._bridge_pair_path(l, start, end, 0.004, budget)
-        assert got.value.tau == want.value.tau == tau
+    @pytest.mark.parametrize("mode", ["bridge", "forward"])
+    @pytest.mark.parametrize("T", [0.01, 0.5, 2.0])
+    def test_winner_bytes(self, T, mode, budget):
+        n = 60
+        l = self._fixture(seed=0, n=n)
+        blocks = len(_block_edges(2 * n - 1, n * 8, budget)) - 1
+        assert blocks == 1 if budget == boundary.DEFAULT_MEMORY_BUDGET else blocks > 2
+        res = select_optimal(
+            l, temperature=T, mode=mode, depth=10, memory_budget=budget
+        )
+        s = res.start_nodes.index(res.best_start)
+        e = res.end_nodes.index(res.best_end)
+        assert res.best.energy == res.energy_table[s, e]
+        f = forward_weights(l, res.best_start, T)
+        if mode == "bridge":
+            want = thermal_average(l, f, backward_weights(l, res.best_end, T))
+        else:
+            want = thermal_average(l, f, end=res.best_end)
+        assert _path_bytes(res.best) == _path_bytes(want)
 
 
 class TestCostHandOff:
-    """In a bridge scan the backward replay hands every layer's costs and
-    weights to the forward step, which would have computed the same bits."""
+    """In a bridge scan the backward replay hands every layer's costs to the
+    forward step, which would have computed the same bits: (eps, emin, w) on
+    the tables' linear steps, (eps, None, None) on the winner's log steps."""
 
     _fixture = TestSelectOptimal._fixture
 
@@ -835,7 +757,7 @@ class TestCostHandOff:
         class Recording(_StackedSweep):
             def step(self, costs=None):
                 super().step(costs)
-                steps.append((self.l, self.tau, costs))
+                steps.append((self.l, self.tau, costs, self.log_domain))
 
         with monkeypatch.context() as m:
             m.setattr(EnergyLandscape, "layer", counting)
@@ -846,26 +768,42 @@ class TestCostHandOff:
         backward = [s for s in steps if s[0] is not l]
         assert len(layer_calls) == len(backward)
         assert all(land is not l for land in layer_calls)
-        assert all(costs is None for _, _, costs in backward)
-        assert forward and all(costs is not None for _, _, costs in forward)
-        for _, tau, (eps, emin, w) in forward:
+        assert all(costs is None for _, _, costs, _ in backward)
+        assert all(costs is not None for _, _, costs, _ in forward)
+        table = [s for s in forward if not s[3]]
+        winner = [s for s in forward if s[3]]
+        assert table and winner
+        for _, tau, (eps, emin, w), _ in table:
             own = l.layer(tau)
             own_min = float(own.min())
             assert eps.tobytes() == own.tobytes()
             assert np.float64(emin).tobytes() == np.float64(own_min).tobytes()
             assert w.tobytes() == np.exp((own_min - own) / T).tobytes()
+        for _, tau, (eps, emin, w), _ in winner:
+            assert eps.tobytes() == l.layer(tau).tobytes()
+            assert emin is None and w is None
 
 
 # The scan at T = 0.01 must follow the zero-temperature path, as acceptance
-# test 2 requires of the log-space API on the same generator. The linear
-# sweep loses these fixtures' bridge mass (ROADMAP item 3): seed 23 misses
-# the path's lag by 2.0 with no pair flagged, and seed 40 refuses.
-@pytest.mark.xfail(
-    strict=True,
-    raises=(AssertionError, NoAdmissiblePairError),
-    reason="linear sweeps lose cold bridge mass (ROADMAP item 3)",
+# test 2 requires of the log-space API on the same generator. The winner's
+# trajectory is thermal_average of its pair, exact at any T; only the linear
+# table's scores are still lost at cold T (ROADMAP item 3). Seed 23's table
+# scores its one pair 2.0 where the pair's path energy is 2.0909, yet its
+# trajectory tracks the path; seed 40's table underflows and the scan refuses.
+@pytest.mark.parametrize(
+    "seed",
+    [
+        23,
+        pytest.param(
+            40,
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=NoAdmissiblePairError,
+                reason="the linear table loses cold bridge mass (ROADMAP item 3)",
+            ),
+        ),
+    ],
 )
-@pytest.mark.parametrize("seed", [23, 40])
 def test_cold_scan_tracks_minimal_path(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(6, 10))

@@ -1,20 +1,26 @@
 """Node cost matrix: modes, accessors, and symmetry properties."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toplag.errors import LatticeTooLargeError
+from toplag.errors import InvalidBoundaryError, LatticeTooLargeError
 from toplag.ingest import AlignedPair
 from toplag.landscape import (
     MATERIALIZE_LIMIT,
     DistanceMode,
     EnergyLandscape,
     build_landscape,
+    check_node,
     layer_bounds,
     layer_lags,
 )
+from toplag.sweep import _StackedSweep
+from toplag.thermal import forward_weights
+from toplag.zerotemp import optimal_path
 
 from conftest import random_pair
 
@@ -184,3 +190,24 @@ class TestAccessors:
         assert l.eps is None
         want = np.abs(l.x[:, None] - l.y[None, :])
         assert l.full_matrix().tobytes() == want.tobytes()
+
+
+class TestCheckNode:
+    def test_returns_an_int_pair(self):
+        i, j = check_node(5, (np.int64(1), 4.0))
+        assert (i, j) == (1, 4) and type(i) is int and type(j) is int
+
+    @pytest.mark.parametrize("node", [(-1, 0), (0, 5), (5, 5)])
+    def test_every_engine_refuses_with_one_message(self, node):
+        # The DP's anchors, the log-space API's nodes and the sweep's seeds
+        # share one rule and one message.
+        l = build_landscape(random_pair(0, 5))
+        msg = re.escape(f"node {node} outside the 5 x 5 lattice")
+        for call in (
+            lambda: check_node(5, node),
+            lambda: optimal_path(l, end=node),
+            lambda: forward_weights(l, node, 2.0),
+            lambda: _StackedSweep(l, [node], 2.0),
+        ):
+            with pytest.raises(InvalidBoundaryError, match=msg):
+                call()

@@ -1103,7 +1103,7 @@ class TestThermalAverageMatchesReference:
         assert len(boundary._block_edges(2 * n - 1, n * 8, 48 * n)) > 3
         for start, end in self._anchors(n):
             whole, blocked = (
-                boundary._bridge_pair_path(l, start, end, T, budget, mode, True)
+                boundary._bridge_pair_path(l, start, end, T, budget, mode)
                 for budget in (boundary.DEFAULT_MEMORY_BUDGET, 48 * n)
             )
             assert _path_bytes(blocked) == _path_bytes(whole)
