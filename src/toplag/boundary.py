@@ -28,10 +28,11 @@ both modes, shared with thermal.thermal_average: the winner's path is
 thermal_average of the winning pair, and only its energy is the table entry.
 
 Stored-scale factors cancel inside each layer's cost ratio, so the matrix
-products need no log bookkeeping; pairs whose products underflow fall back
-to an explicit log-space evaluation of that layer. The products' terms are
-lifted by an exact power of two, which keeps them out of the subnormal range
-(slow on many CPUs) without changing a ratio's bytes.
+products need no log bookkeeping. Each layer's products are taken once,
+lifted out of the subnormal range (slow on many CPUs) by an exact power of
+two and, on layers whose costs span more than 700 T, a shift inside the
+exponent; a pair whose lifted sum stays below a floor is evaluated in log
+space on that layer instead.
 """
 
 import math
@@ -47,11 +48,11 @@ from .sweep import _WINNER_CHUNK, _finish_path, _layer_stats
 
 DEFAULT_MEMORY_BUDGET = 2_000_000_000  # bytes of sweep state the scan may hold
 
-# A layer's scaled bridge products stay at or below 2**_PRODUCT_TOP_EXP; a
-# live pair with weight whose scaled den or num is below
-# scale * _PRODUCT_FLOOR sends the layer back to scale 1 (see _bridge_table).
+# A layer's lifted bridge products stay at or below 2**_PRODUCT_TOP_EXP; a
+# live pair takes its ratio from them only if its lifted den is at least
+# _PRODUCT_FLOOR (see _bridge_table).
 _PRODUCT_TOP_EXP = 1000
-_PRODUCT_FLOOR = 2.0**-900
+_PRODUCT_FLOOR = 2.0**-990
 
 
 @dataclass(frozen=True)
@@ -180,9 +181,7 @@ def _layers(
     """
     n = l.n
     n_layers = 2 * n - 1
-    # Linear sweeps are built without the argument, so a linear-only sweep
-    # class can stand in for _StackedSweep.
-    sweep = partial(_StackedSweep, log_domain=True) if log_domain else _StackedSweep
+    sweep = partial(_StackedSweep, log_domain=log_domain)
     edges = [0, n_layers]
     if ends is not None:
         reflected = l.reflected()
@@ -239,30 +238,40 @@ def _bridge_products(fu, eps, sb):
     return fu @ sb.T, (fu * eps[None, :]) @ sb.T
 
 
-def _product_scales(width, emax):
-    """Scales to try, in order, for one layer's bridge products.
+def _product_lift(eps, emin, T):
+    """One layer's lifted bridge weights u and its product scale.
 
-    Stored weights and u are at most 1, so den <= width and num <= width *
-    max(1, emax); the first scale, 2**shift, keeps both at or below
-    2**_PRODUCT_TOP_EXP. The last scale is always 1.
+    u = exp((eps - emax) / T + c), c = min(709, max(0, (emax - emin) / T -
+    700)): c is 0, and u keeps the unlifted bits, unless the costs span more
+    than 700 T, where the smallest u would leave the normal range. Stored
+    weights are at most 1, so the scale, an exact power of two, keeps den and
+    num at or below 2**_PRODUCT_TOP_EXP, without taking u * scale below the
+    unlifted weights; a non-finite bound gives scale 1.
     """
-    top = width * max(1.0, emax)
+    emax = float(eps.max())
+    x = (eps - emax) / T  # bridge weight carries exp(+eps/T)
+    c = min(709.0, max(0.0, (emax - emin) / T - 700.0))
+    if c:
+        x += c
+    u = np.exp(x, out=x)
+    top = eps.size * max(1.0, emax)
     if not (math.isfinite(emax) and math.isfinite(top)):
-        return (1.0,)
-    shift = _PRODUCT_TOP_EXP - math.ceil(math.log2(top))
-    return (2.0**shift, 1.0) if shift > 0 else (1.0,)
+        return u, 1.0
+    c2 = c / math.log(2.0)  # log2(exp(c))
+    shift = max(_PRODUCT_TOP_EXP - math.ceil(math.log2(top) + c2), -math.floor(c2))
+    return u, 2.0**shift
 
 
 def _bridge_table(l, starts, ends, T, budget):
     """Mean per-layer cost of every admissible (start, end) bridge.
 
-    A pair's layer cost is num / den, both sums of products that can fall
-    below 2**-1022 at the sweep's stored scale. Each layer's products are
-    first taken at scale 2**shift, exact while they stay normal, so the
-    ratio keeps its bytes. If a live pair with weight (den > 0) has a
-    scaled den or num below scale * 2**-900, the layer's terms may have
-    been subnormal at scale 1, where rounding differs, and the layer is
-    taken again at scale 1, with the unscaled arithmetic.
+    A pair's layer cost is num / den, both sums of products of stored
+    weights and the lifted bridge weights of _product_lift, taken once per
+    layer. A pair takes the ratio only if its lifted den is at least
+    _PRODUCT_FLOOR = 2**-990: each term lost or rounded in the subnormal
+    range is off by less than 2**-1073, and for widths below 2**31 their
+    sum stays under one ulp of den. Every other live pair is evaluated in
+    log space (_log_layer_cost).
 
     A pair whose weight underflowed on some layer scores +inf; an inf sum
     that no underflow explains is an overflow, refused with
@@ -281,32 +290,20 @@ def _bridge_table(l, starts, ends, T, budget):
             live = (tau_s <= tau)[:, None] & (tau <= tau_e)[None, :] & adm
             if not live.any():
                 continue
-        eps = fwd.eps
-        emax = float(eps.max())
-        u = np.exp((eps - emax) / T)  # bridge weight carries exp(+eps/T)
-        scales = _product_scales(eps.size, emax)
-        for scale in scales:
-            # C order keeps BLAS on one summation order whatever s1's layout.
-            fu = np.multiply(fwd.s1, u * scale, order="C")
-            den, num = _bridge_products(fu, eps, sb)
-            low = np.minimum(den, num)
-            floor = scale * _PRODUCT_FLOOR
-            # A clear layer: den > 0 only where an admissible start and end
-            # both have weight, so every pair is live, and with a lifted
-            # scale on offer num <= 2**1000, so every ratio (a weighted mean
-            # of eps) is finite.
-            clear = len(scales) > 1 and low.min() >= floor
-            if clear:
-                break
-            pos = den > 0
-            if not (live & pos & (low < floor)).any():
-                break
-        if clear:
+        eps, emin, _ = fwd.costs
+        u, scale = _product_lift(eps, emin, T)
+        # C order keeps BLAS on one summation order whatever s1's layout.
+        fu = np.multiply(fwd.s1, u * scale, order="C")
+        den, num = _bridge_products(fu, eps, sb)
+        # A clear layer: den > 0 only where an admissible start and end both
+        # have weight, so every pair is live, and with a lifted scale num <=
+        # 2**1000, so every ratio (a weighted mean of eps) is finite.
+        if scale > 1 and den.min() >= _PRODUCT_FLOOR:
             esum += num / den
             continue
         with np.errstate(invalid="ignore", divide="ignore"):
             ratio = num / den
-        good = live & pos & np.isfinite(ratio)
+        good = live & (den >= _PRODUCT_FLOOR) & np.isfinite(ratio)
         np.add(esum, ratio, out=esum, where=good)
         if good.all():
             continue

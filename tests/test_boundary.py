@@ -251,11 +251,51 @@ class TestSelectOptimal:
         with pytest.raises(CostOverflowError, match="overflowed the double range"):
             select_optimal(l, temperature=2e307, depth=5, mode=mode)
 
-    def test_product_scales_of_an_overflowing_bound(self):
-        # width * emax is inf although emax is finite: only scale 1 is left.
-        assert boundary._product_scales(40, 1e307) == (1.0,)
-        assert boundary._product_scales(40, np.inf) == (1.0,)
-        assert boundary._product_scales(40, 1.0)[0] == 2.0 ** (1000 - 6)
+    @pytest.mark.parametrize("T", [0.004, 0.006, 0.01])
+    def test_cold_table_entries_match_thermal_average(self, T):
+        # The table takes each layer's products once, lifted so that their
+        # terms stay normal; a pair whose lifted den is below the floor is
+        # evaluated in log space. Every finite entry is then right to
+        # rounding, although the sweep's stored weights lose cold mass.
+        l = self._fixture(seed=0, n=60)
+        res = select_optimal(l, temperature=T, depth=10)
+        table = res.energy_table
+        finite = np.isfinite(table)
+        assert finite.any() and np.isinf(table).any()
+        want = _thermal_energies(l, res, finite)
+        assert np.abs(table[finite] - want[finite]).max() <= 1e-12
+
+    def test_product_lift_keeps_the_unlifted_bits(self):
+        # Costs spanning less than 700 T: u is exp((eps - emax) / T) and the
+        # scale is 2**shift with shift = 1000 - ceil(log2(width * max(1, emax))).
+        eps = np.random.default_rng(0).uniform(0.0, 3.0, 40)
+        assert 64 < 40 * eps.max() <= 128
+        # ceil(log2(width * max(1, emax))) is 7, then 6 (emax = 1).
+        for layer, T, shift in ((eps, 2.0, 993), (eps / eps.max(), 0.01, 994)):
+            u, scale = boundary._product_lift(layer, float(layer.min()), T)
+            assert u.tobytes() == np.exp((layer - layer.max()) / T).tobytes()
+            assert scale == 2.0**shift
+
+    @pytest.mark.parametrize("span", [1000.0, 1400.0])
+    def test_product_lift_of_a_wide_cost_span(self, span):
+        # Costs spanning `span` T: unlifted, the bridge weights of the
+        # cheapest nodes underflow.
+        T = 0.5
+        eps = np.linspace(0.0, span * T, 40)
+        assert np.exp((eps.min() - eps.max()) / T) == 0.0
+        u, scale = boundary._product_lift(eps, 0.0, T)
+        assert u.min() >= np.finfo(float).tiny and np.isfinite(u.max())
+        assert u.max() * scale * eps.size * max(1.0, eps.max()) <= 2.0**1000
+        # The scale may fall below 1, but the lift as a whole still raises u.
+        assert u.max() * scale >= 1.0
+
+    def test_product_lift_of_an_overflowing_bound(self):
+        # width * emax is inf although emax is finite, or emax is inf: only
+        # scale 1 is left.
+        assert boundary._product_lift(np.full(40, 1e307), 1e307, 2.0)[1] == 1.0
+        eps = np.r_[np.zeros(39), np.inf]
+        with np.errstate(invalid="ignore"):
+            assert boundary._product_lift(eps, 0.0, 2.0)[1] == 1.0
 
     def test_explicit_spec_overrides_depth(self):
         l = self._fixture(n=40)
@@ -267,9 +307,27 @@ class TestSelectOptimal:
         assert res.best_start == (0, 0) and res.best_end == (39, 39)
 
 
+def _thermal_energies(l, res, where):
+    """thermal_average's energy of each bridge pair where `where` holds, NaN
+    elsewhere, in the layout of res.energy_table."""
+    T = res.temperature
+    out = np.full(res.energy_table.shape, np.nan)
+    for s_idx, e_idx in zip(*np.nonzero(where)):
+        f = forward_weights(l, res.start_nodes[s_idx], T)
+        b = backward_weights(l, res.end_nodes[e_idx], T)
+        out[s_idx, e_idx] = thermal_average(l, f, b).energy
+    return out
+
+
 class _ReferenceSweepWithCosts(_ReferenceSweep):
     """The reference sweep plus the eps and costs attributes the scan reads.
-    It computes every layer's costs itself and ignores those handed over."""
+    It computes every layer's costs itself and ignores those handed over.
+    It is linear only, as the score tables are."""
+
+    def __init__(self, l, seeds, temperature, log_domain=False):
+        if log_domain:
+            raise ValueError("the reference sweep has no log domain")
+        super().__init__(l, seeds, temperature)
 
     def step(self, costs=None):
         super().step()
@@ -542,11 +600,34 @@ class TestScanMatchesParentScan:
         l = self._fixture(seed=13, n=80)
         self._compare(l, 0.5, mode, 6, 80 * 11 * 8 * 4)
 
-    @pytest.mark.parametrize("mode", ["bridge", "forward"])
-    def test_cold_scan_with_underflow_fallbacks(self, mode):
+    def test_cold_forward_scan_with_underflowed_pairs(self):
         l = self._fixture(seed=0, n=60)
-        res = self._compare(l, 0.01, mode, 10, 36480)
+        res = self._compare(l, 0.01, "forward", 10, 36480)
         assert res.underflowed > 0
+
+    def test_cold_bridge_scan_with_underflow_fallbacks(self):
+        # The reference takes each layer's products unlifted and accepts
+        # any den > 0, so its cold entries lose the mass of subnormal
+        # terms. The scan keeps its NaN and +inf pattern, its winner and
+        # the winner's path, and no finite entry is farther from
+        # thermal_average than the reference's.
+        l = self._fixture(seed=0, n=60)
+        T, depth, budget = 0.01, 10, 36480
+        res = select_optimal(l, temperature=T, depth=depth, memory_budget=budget)
+        got, want = _scan_bytes(res), _ref_select(l, T, "bridge", depth, budget)
+        # All but the table, the winner's entry in it and the runner-up gap:
+        # the winner's path, the winning pair and the pair counts.
+        same = [1, 2, 3, 5, 6, 7, 9, 10]
+        assert [got[k] for k in same] == [want[k] for k in same]
+        assert res.underflowed > 0
+        table = res.energy_table
+        ref = np.frombuffer(want[0]).reshape(table.shape)
+        finite = np.isfinite(table)
+        assert np.array_equal(np.isnan(table), np.isnan(ref))
+        assert np.array_equal(np.isinf(table), np.isinf(ref))
+        exact = _thermal_energies(l, res, finite)
+        err = np.abs(table - exact)[finite]
+        assert (err <= np.abs(ref - exact)[finite]).all()
 
     # Costs and temperature scaled together keep the path weights but move
     # the bridge products' magnitudes: at 1e-150 the cost-weighted sums fall
@@ -560,9 +641,9 @@ class TestScanMatchesParentScan:
 
     @staticmethod
     def _product_layers(monkeypatch, l, **kw):
-        """Bridge-product evaluations per table layer, in layer order. The
-        retry at scale 1 reuses the layer's eps array, which tells layers
-        apart."""
+        """Bridge-product evaluations per table layer, in layer order. A
+        second evaluation of a layer would reuse its eps array, which tells
+        layers apart."""
         seen = []
         products = boundary._bridge_products
 
@@ -580,32 +661,31 @@ class TestScanMatchesParentScan:
                 per_layer.append(1)
         return per_layer
 
-    def test_warm_layers_take_the_products_once(self, monkeypatch):
-        l = self._fixture(seed=13, n=80)
-        per_layer = self._product_layers(monkeypatch, l, temperature=2.0, depth=6)
+    @pytest.mark.parametrize(
+        "seed, n, kw",
+        [
+            (13, 80, dict(temperature=2.0, depth=6)),
+            (0, 60, dict(temperature=0.01, depth=10, memory_budget=36480)),
+        ],
+        ids=["T2", "T0.01"],
+    )
+    def test_layers_take_the_products_once(self, monkeypatch, seed, n, kw):
+        l = self._fixture(seed=seed, n=n)
+        per_layer = self._product_layers(monkeypatch, l, **kw)
         # Every layer of the full lattice holds a live pair.
         assert per_layer == [1] * l.n_layers
 
-    def test_cold_layers_retake_the_products_at_scale_one(self, monkeypatch):
-        l = self._fixture(seed=0, n=60)
-        per_layer = self._product_layers(
-            monkeypatch, l, temperature=0.01, depth=10, memory_budget=36480
-        )
-        assert len(per_layer) == l.n_layers
-        assert set(per_layer) == {1, 2}
-
     def test_warm_fixtures_mix_clear_and_edge_layers(self, monkeypatch):
-        # A clear layer (every lifted den and num at or above the floor)
-        # skips the per-pair masks; the parent-scan pins above cover both
-        # kinds only while their warm fixture holds both.
+        # A clear layer (a lifted scale, and every lifted den at or above
+        # the floor) skips the per-pair masks; the parent-scan pins above
+        # cover both kinds only while their warm fixture holds both.
         clear = []
         products = boundary._bridge_products
 
         def recording(fu, eps, sb):
             den, num = products(fu, eps, sb)
-            scale = boundary._product_scales(eps.size, float(eps.max()))[0]
-            floor = scale * boundary._PRODUCT_FLOOR
-            clear.append(bool(scale > 1 and np.minimum(den, num).min() >= floor))
+            scale = boundary._product_lift(eps, float(eps.min()), 2.0)[1]
+            clear.append(bool(scale > 1 and den.min() >= boundary._PRODUCT_FLOOR))
             return den, num
 
         monkeypatch.setattr(boundary, "_bridge_products", recording)
