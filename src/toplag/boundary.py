@@ -41,8 +41,8 @@ from functools import partial
 
 import numpy as np
 
-from .errors import CostOverflowError, DepthTooLargeError, NoAdmissiblePairError
-from .landscape import layer_bounds
+from .errors import DepthTooLargeError, NoAdmissiblePairError
+from .landscape import check_cost_sums, layer_bounds
 from .sweep import LagPath, _StackedSweep, _check_temperature
 from .sweep import _WINNER_CHUNK, _finish_path, _layer_stats
 
@@ -92,9 +92,9 @@ class SelectionResult:
 
     energy_table[s, e] is the mean per-layer cost for start s and end e
     (NaN where the pair is inadmissible, i.e. the end precedes the start in
-    either coordinate; +inf where the pair's bridge weight underflowed out
-    of double range relative to the field ridge). best is the winning pair's
-    LagPath; its energy field is the winning table entry itself.
+    either coordinate; +inf where, and only where, the pair's weight
+    underflowed out of double range relative to the field ridge). best is
+    the winning pair's LagPath; its energy field is the winning table entry.
     runner_up_gap is the margin by which the winner beats the second-best
     admissible pair (0 on an exact tie, inf when every rival underflowed,
     NaN when only one pair is admissible). underflowed counts the +inf
@@ -144,11 +144,10 @@ def _block_edges(n_layers, bytes_per_layer, budget):
 def _log_layer_cost(sf_row, sb_row, eps, T):
     """Mean layer cost for one pair, evaluated in log space.
 
-    Returns inf when the pair's weight underflowed on this layer, i.e. every
-    stored weight in the pair's window is exactly zero (its mass is more
-    than ~700 nats below the field ridge): such a pair is never
-    competitive. Raises CostOverflowError when the pair has weight but its
-    cost sum overflows.
+    Returns inf when, and only when, the pair's weight underflowed on this
+    layer, i.e. every stored weight in the pair's window is exactly zero
+    (its mass is more than ~700 nats below the field ridge): such a pair is
+    never competitive.
     """
     with np.errstate(divide="ignore"):
         lw = np.log(sf_row) + np.log(sb_row) + eps / T
@@ -157,10 +156,7 @@ def _log_layer_cost(sf_row, sb_row, eps, T):
     if m == -np.inf:
         return float("inf")
     p = np.exp(lw - m)
-    cost = float((eps * p).sum() / p.sum())
-    if cost == np.inf:
-        raise CostOverflowError()
-    return cost
+    return float((eps * p).sum() / p.sum())
 
 
 def _layers(
@@ -177,8 +173,10 @@ def _layers(
     The replay hands each layer's costs and weights on to the forward step,
     so with ends only backward steps compute them. A consumer that stops
     early never replays the later blocks. Every sweep runs in the log domain
-    if log_domain, in the linear one otherwise.
+    if log_domain, in the linear one otherwise. landscape.check_cost_sums
+    runs before the first layer, so every consumer's cost sums are finite.
     """
+    check_cost_sums(l)
     n = l.n
     n_layers = 2 * n - 1
     sweep = partial(_StackedSweep, log_domain=log_domain)
@@ -246,7 +244,7 @@ def _product_lift(eps, emin, T):
     than 700 T, where the smallest u would leave the normal range. Stored
     weights are at most 1, so the scale, an exact power of two, keeps den and
     num at or below 2**_PRODUCT_TOP_EXP, without taking u * scale below the
-    unlifted weights; a non-finite bound gives scale 1.
+    unlifted weights; width * max(1, emax) is finite by check_cost_sums.
     """
     emax = float(eps.max())
     x = (eps - emax) / T  # bridge weight carries exp(+eps/T)
@@ -255,8 +253,6 @@ def _product_lift(eps, emin, T):
         x += c
     u = np.exp(x, out=x)
     top = eps.size * max(1.0, emax)
-    if not (math.isfinite(emax) and math.isfinite(top)):
-        return u, 1.0
     c2 = c / math.log(2.0)  # log2(exp(c))
     shift = max(_PRODUCT_TOP_EXP - math.ceil(math.log2(top) + c2), -math.floor(c2))
     return u, 2.0**shift
@@ -270,19 +266,17 @@ def _bridge_table(l, starts, ends, T, budget):
     layer. A pair takes the ratio only if its lifted den is at least
     _PRODUCT_FLOOR = 2**-990: each term lost or rounded in the subnormal
     range is off by less than 2**-1073, and for widths below 2**31 their
-    sum stays under one ulp of den. Every other live pair is evaluated in
-    log space (_log_layer_cost).
+    sum stays under one ulp of den, and the ratio is finite. Every other
+    live pair is evaluated in log space (_log_layer_cost).
 
-    A pair whose weight underflowed on some layer scores +inf; an inf sum
-    that no underflow explains is an overflow, refused with
-    CostOverflowError.
+    A pair whose weight underflowed on some layer scores +inf, the only
+    infinite entries: _layers has passed landscape.check_cost_sums.
     """
     adm, tau_s, tau_e = _admissibility(starts, ends)
     # Between the last start layer and the first end layer every admissible
     # pair is live.
     all_live_lo, all_live_hi = int(tau_s.max()), int(tau_e.min())
     esum = np.zeros((len(starts), len(ends)))
-    dead = np.zeros(esum.shape, dtype=bool)  # underflowed pairs
     for tau, fwd, sb in _layers(l, starts, T, ends, budget):
         if all_live_lo <= tau <= all_live_hi:
             live = adm
@@ -303,18 +297,13 @@ def _bridge_table(l, starts, ends, T, budget):
             continue
         with np.errstate(invalid="ignore", divide="ignore"):
             ratio = num / den
-        good = live & (den >= _PRODUCT_FLOOR) & np.isfinite(ratio)
+        good = live & (den >= _PRODUCT_FLOOR)
         np.add(esum, ratio, out=esum, where=good)
         if good.all():
             continue
-        for s_idx, e_idx in zip(*np.nonzero(live & ~good)):
-            if dead[s_idx, e_idx]:
-                continue
-            c = _log_layer_cost(fwd.s1[s_idx], sb[e_idx], eps, T)
-            esum[s_idx, e_idx] += c
-            dead[s_idx, e_idx] = c == np.inf
-    if (np.isinf(esum) & ~dead).any():
-        raise CostOverflowError()
+        # Pairs already at +inf have underflowed; their scores cannot change.
+        for s_idx, e_idx in zip(*np.nonzero(live & ~good & (esum < np.inf))):
+            esum[s_idx, e_idx] += _log_layer_cost(fwd.s1[s_idx], sb[e_idx], eps, T)
     return _mean_table(esum, adm, tau_s, tau_e)
 
 
@@ -322,30 +311,22 @@ def _forward_table(l, starts, ends, T):
     """Mean per-layer cost under forward-only weights, per (start, end).
 
     A pair whose start field has no weight left on one of its layers scores
-    +inf (underflowed); any other pair whose cost sum is not finite
-    overflowed, which raises CostOverflowError.
+    +inf (underflowed), the only infinite entries (check_cost_sums).
     """
     adm, tau_s, tau_e = _admissibility(starts, ends)
     q = np.zeros((len(starts), 2 * l.n - 1))
-    alive = np.zeros(q.shape, dtype=bool)
     for tau, fwd, _ in _layers(l, starts, T):
         s1 = np.ascontiguousarray(fwd.s1)  # fixes the summation order
         den = s1.sum(axis=1)
         num = s1 @ fwd.eps
-        live = alive[:, tau] = den > 0
+        live = den > 0
         q[live, tau] = num[live] / den[live]
         # A started field that underflowed to zero has no distribution on
         # this layer: its pairs through it score +inf (underflowed).
         q[~live & (tau_s <= tau), tau] = np.inf
-
-    def range_sums(a):
-        """Sums of a's layers tau_s .. tau_e, per (start, end)."""
-        c = np.concatenate([np.zeros((len(starts), 1)), np.cumsum(a, axis=1)], axis=1)
-        return c[:, tau_e + 1] - c[np.arange(len(starts)), tau_s][:, None]
-
-    sums = range_sums(q)
-    if (adm & (range_sums(~alive) == 0) & ~np.isfinite(sums)).any():
-        raise CostOverflowError()
+    # Sums of layers tau_s .. tau_e, per (start, end).
+    c = np.concatenate([np.zeros((len(starts), 1)), np.cumsum(q, axis=1)], axis=1)
+    sums = c[:, tau_e + 1] - c[np.arange(len(starts)), tau_s][:, None]
     return _mean_table(sums, adm, tau_s, tau_e)
 
 
@@ -424,7 +405,8 @@ def select_optimal(
     mode "bridge" conditions every path on both anchors; "forward" scores
     pairs by forward-only weights, the ends fixing the layer range alone.
     The returned result carries the full (start x end) cost table with NaN
-    at inadmissible pairs.
+    at inadmissible pairs and +inf where a pair's weight underflowed;
+    CostOverflowError comes first if cost sums could overflow.
     """
     T = _check_temperature(temperature, "; zero routes to optimal_path")
     if mode not in ("bridge", "forward"):
@@ -434,13 +416,10 @@ def select_optimal(
     starts = tuple(tuple(map(int, s)) for s in spec.start_nodes)
     ends = tuple(tuple(map(int, e)) for e in spec.end_nodes)
 
-    # Cost sums overflow only at extreme cost magnitudes, where the tables
-    # and the winner path raise CostOverflowError instead.
-    with np.errstate(over="ignore"):
-        if mode == "bridge":
-            table, adm = _bridge_table(l, starts, ends, T, memory_budget)
-        else:
-            table, adm = _forward_table(l, starts, ends, T)
+    if mode == "bridge":
+        table, adm = _bridge_table(l, starts, ends, T, memory_budget)
+    else:
+        table, adm = _forward_table(l, starts, ends, T)
 
     if not adm.any():
         raise NoAdmissiblePairError()
@@ -459,10 +438,7 @@ def select_optimal(
     vals = np.sort(table[adm])
     gap = float(vals[1] - vals[0]) if vals.size > 1 else float("nan")
 
-    with np.errstate(over="ignore"):
-        path = _bridge_pair_path(
-            l, starts[s_idx], ends[e_idx], T, memory_budget, mode
-        )
+    path = _bridge_pair_path(l, starts[s_idx], ends[e_idx], T, memory_budget, mode)
     # The table entry is the score the pairs were ranked by, so it stays the
     # winner's energy. The pair path's own mean agrees with it to rounding
     # at warm T; at cold T the linear table can lose mass that the log-domain

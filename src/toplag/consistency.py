@@ -261,11 +261,14 @@ def run_consistency(pair, t_index, lag_at_t, window, alpha=0.05):
         )
 
     # Shift to the global means first; slopes are shift-invariant and the
-    # windowed cross sums lose less precision near zero.
+    # windowed cross sums lose less precision near zero. Exact powers of
+    # two then scale each to a peak in [0.5, 1), so no square overflows.
     gx = float(x.mean())
     gy = float(y.mean())
     xs = x - gx
     ys = y - gy
+    ex, ey = (int(np.frexp(np.abs(v).max())[1]) for v in (xs, ys))
+    xs, ys = np.ldexp(xs, -ex), np.ldexp(ys, -ey)
     sx = _window_sums(xs, w)
     sy = _window_sums(ys, w)
     sxx = _window_sums(xs * xs, w)
@@ -282,20 +285,22 @@ def run_consistency(pair, t_index, lag_at_t, window, alpha=0.05):
     p_value = np.full(sx.size, np.nan)
 
     d = defined
-    slope[d] = sxy_c[d] / sxx_c[d]
+    # b is the slope of the scaled series; rss, se and t stay on that scale.
+    b = sxy_c[d] / sxx_c[d]
+    slope[d] = np.ldexp(b, ey - ex)
     # Means on the original scale recover the intercept.
-    mean_x = sx[d] / w + gx
-    mean_y = sy[d] / w + gy
+    mean_x = np.ldexp(sx[d] / w, ex) + gx
+    mean_y = np.ldexp(sy[d] / w, ey) + gy
     intercept[d] = mean_y - slope[d] * mean_x
 
-    rss = np.maximum(syy_c[d] - slope[d] * sxy_c[d], 0.0)
+    rss = np.maximum(syy_c[d] - b * sxy_c[d], 0.0)
     df = w - 2
     se = np.sqrt(rss / df / sxx_c[d])
     ts = np.empty(se.size)
     nz = se > 0.0
-    ts[nz] = slope[d][nz] / se[nz]
+    ts[nz] = b[nz] / se[nz]
     # Zero residual is an exact fit: infinite t unless the slope is zero too.
-    sl = slope[d][~nz]
+    sl = b[~nz]
     ts[~nz] = np.where(sl == 0.0, 0.0, np.sign(sl) * np.inf)
     t_stat[d] = ts
     pv = _student_t_pvalues(ts, df)

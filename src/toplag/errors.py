@@ -90,11 +90,14 @@ class NoAdmissiblePairError(LatticeError):
 
 
 class CostOverflowError(LatticeError):
-    """A sum of landscape costs left the double range, so scores cannot be
-    ranked; distinct from pairs whose path weight underflowed."""
+    """Sums of landscape costs could leave the double range; raised before
+    any layer is computed (landscape.check_cost_sums)."""
 
-    def __init__(self, detail="sums of landscape costs overflowed the double range"):
-        super().__init__(f"{detail}; rescale the series, e.g. by standardizing them")
+    def __init__(self):
+        super().__init__(
+            "sums of landscape costs could overflow the double range; "
+            "rescale the series, e.g. by standardizing them"
+        )
 
 
 class EmptyLayerError(LatticeError):

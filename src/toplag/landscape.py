@@ -14,11 +14,12 @@ on demand; the full n x n matrix is built only when asked for, and only for
 small lattices.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidBoundaryError, LatticeTooLargeError
+from .errors import CostOverflowError, InvalidBoundaryError, LatticeTooLargeError
 
 # Above this size the full cost matrix is refused; layers are generated
 # inside sweeps (n = 4096 is 128 MB of float64, the last comfortable size).
@@ -74,6 +75,18 @@ def check_node(n, node):
     return i, j
 
 
+def check_cost_sums(l):
+    """CostOverflowError unless (2n - 1) * l.cost_bound is finite.
+
+    Every cost sum the engines take (weighted layer costs, summed layer
+    means, path costs) has at most 2n - 1 terms of at most cost_bound. The
+    path engines call this before their first layer, so a +inf score means
+    an underflowed path weight. A Python float product overflows silently.
+    """
+    if not math.isfinite((2 * l.n - 1) * l.cost_bound):
+        raise CostOverflowError()
+
+
 def layer_lags(n, tau):
     """Lag values x = j - i = tau - 2i for the nodes of layer tau, i ascending."""
     lo, hi = layer_bounds(n, tau)
@@ -110,6 +123,11 @@ class EnergyLandscape:
     @property
     def n_layers(self):
         return 2 * self.n - 1
+
+    @property
+    def cost_bound(self):
+        """max|x| + max|y|, at or above every node cost in every mode."""
+        return sum(float(np.abs(v).max(initial=0.0)) for v in (self.x, self.y))
 
     def _combine(self, xs, ys):
         if self.mode == DistanceMode.COMONOTONIC:

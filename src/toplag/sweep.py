@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CostOverflowError, EmptyLayerError
+from .errors import EmptyLayerError
 from .landscape import check_node, layer_bounds
 
 _WINNER_CHUNK = 64  # layers per _layer_stats call on a pair's path
@@ -101,11 +101,10 @@ class _StackedSweep:
         # Linear domain: all_live says every field has weight on layer tau
         # and a finite log scale, which step()'s shortcuts need. A log scale
         # falls by at most emin / T + 745 per layer (a positive peak is at
-        # least 2**-1074) and costs are at most |x| + |y|; when 2n such falls
+        # least 2**-1074) and costs are at most cost_bound; when 2n such falls
         # fit the double range, a field with weight has a finite scale.
         self.all_live = False
-        cost_max = sum(float(np.abs(v).max(initial=0.0)) for v in (l.x, l.y))
-        self.bounded_scales = 2 * self.n * (cost_max / self.T + 745) < 2.0**1000
+        self.bounded_scales = 2 * self.n * (l.cost_bound / self.T + 745) < 2.0**1000
         self.eps = None  # landscape costs on layer tau
         self.costs = None  # (eps, emin, w) on layer tau; see step()
 
@@ -255,8 +254,7 @@ def _layer_stats(n, taus, eps, w):
     eps and w hold the layers' costs and log weights, concatenated; p is
     exp(w) after each layer's w is shifted by its peak. A layer's peak comes
     from an exact maximum.reduceat and its sums from its own contiguous
-    slice, so every number has the bits of a layer-by-layer evaluation. Sums
-    that overflow come back inf, without a warning.
+    slice, so every number has the bits of a layer-by-layer evaluation.
     """
     los = np.maximum(0, taus - (n - 1))
     widths = np.minimum(taus, n - 1) - los + 1
@@ -274,32 +272,26 @@ def _layer_stats(n, taus, eps, w):
     np.multiply(x, p, out=prod[1])
     np.multiply(eps, p, out=prod[2])
     out = np.empty((3, taus.size))
-    with np.errstate(over="ignore"):
-        for k in range(taus.size):
-            out[:, k] = prod[:, offs[k] : offs[k + 1]].sum(axis=1)
+    for k in range(taus.size):
+        out[:, k] = prod[:, offs[k] : offs[k + 1]].sum(axis=1)
     return out
 
 
 def _finish_path(taus, stats, log_partition, T, mode, start, end):
     """The LagPath of per-layer sums from _layer_stats.
 
-    Raises EmptyLayerError at the first layer without weight, and
-    CostOverflowError when a layer cost or their mean is not finite.
+    Raises EmptyLayerError at the first layer without weight.
     """
     z, xsum, esum = stats
     empty = ~(z > 0)
     if empty.any():
         raise EmptyLayerError(int(taus[np.argmax(empty)]))
     cost = esum / z
-    with np.errstate(over="ignore"):
-        energy = float(np.mean(cost))
-    if not (np.isfinite(cost).all() and np.isfinite(energy)):
-        raise CostOverflowError()
     return LagPath(
         taus=taus,
         mean_lag=xsum / z,
         layer_cost=cost,
-        energy=energy,
+        energy=float(np.mean(cost)),
         log_partition=log_partition,
         temperature=T,
         mode=mode,

@@ -64,7 +64,7 @@ def thermal_average(l, forward, backward=None, end=None):
     With a backward field: bridge mode between forward.origin and
     backward.origin. Without: forward mode, optionally truncated at the
     layer of `end` (otherwise running to the last layer). Raises
-    CostOverflowError when a layer cost or the energy overflows.
+    CostOverflowError before the first layer if cost sums could overflow.
     """
     n = l.n
     if forward.direction != FORWARD:

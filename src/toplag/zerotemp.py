@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidBoundaryError
-from .landscape import check_node, layer_bounds
+from .landscape import check_cost_sums, check_node, layer_bounds
 
 # Staged bits per plane between two packs into the bit-planes.
 _STAGE_BITS = 1 << 16
@@ -61,7 +61,9 @@ class HardPath:
 
 
 def optimal_path(l, start=None, end=None):
-    """Minimal-cost path between two lattice nodes (corners by default)."""
+    """Minimal-cost path between two lattice nodes (corners by default);
+    CostOverflowError first if path costs could overflow (check_cost_sums)."""
+    check_cost_sums(l)
     n = l.n
     if start is None:
         start = (0, 0)

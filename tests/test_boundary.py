@@ -1,6 +1,8 @@
 """Boundary fan enumeration and the grid search over anchor pairs."""
 
 import importlib.util
+import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -248,7 +250,7 @@ class TestSelectOptimal:
         x = 1e307 * rng.standard_normal(40)
         y = 1e307 * rng.standard_normal(40)
         l = build_landscape(AlignedPair(x=x, y=y))
-        with pytest.raises(CostOverflowError, match="overflowed the double range"):
+        with pytest.raises(CostOverflowError, match="could overflow the double range"):
             select_optimal(l, temperature=2e307, depth=5, mode=mode)
 
     @pytest.mark.parametrize("T", [0.004, 0.006, 0.01])
@@ -289,14 +291,6 @@ class TestSelectOptimal:
         # The scale may fall below 1, but the lift as a whole still raises u.
         assert u.max() * scale >= 1.0
 
-    def test_product_lift_of_an_overflowing_bound(self):
-        # width * emax is inf although emax is finite, or emax is inf: only
-        # scale 1 is left.
-        assert boundary._product_lift(np.full(40, 1e307), 1e307, 2.0)[1] == 1.0
-        eps = np.r_[np.zeros(39), np.inf]
-        with np.errstate(invalid="ignore"):
-            assert boundary._product_lift(eps, 0.0, 2.0)[1] == 1.0
-
     def test_explicit_spec_overrides_depth(self):
         l = self._fixture(n=40)
         spec = BoundarySpec(
@@ -305,6 +299,64 @@ class TestSelectOptimal:
         res = select_optimal(l, temperature=2.0, spec=spec)
         assert res.energy_table.shape == (1, 1)
         assert res.best_start == (0, 0) and res.best_end == (39, 39)
+
+
+def _edge_landscape(factor, n=40):
+    """A raw n-sample pair whose (2n - 1) * cost_bound is about factor * DBL_MAX."""
+    rng = np.random.default_rng(0)
+    x, y = rng.standard_normal(n), rng.standard_normal(n)
+    top = np.finfo(float).max / (2 * n - 1)
+    s = factor * top / (np.abs(x).max() + np.abs(y).max())
+    return build_landscape(AlignedPair(x=s * x, y=s * y))
+
+
+class TestCostSumRule:
+    """landscape.check_cost_sums, checked before the first layer by the
+    scan in both modes, thermal_average in both modes and optimal_path."""
+
+    @staticmethod
+    def _engines(l, T):
+        n = l.n
+        f = forward_weights(l, (0, 0), T)
+        b = backward_weights(l, (n - 1, n - 1), T)
+        return [
+            lambda: select_optimal(l, temperature=T, depth=5).best,
+            lambda: select_optimal(l, temperature=T, depth=5, mode="forward").best,
+            lambda: thermal_average(l, f, b),
+            lambda: thermal_average(l, f),
+            lambda: optimal_path(l),
+        ]
+
+    @pytest.mark.parametrize("t_frac", [1.0, 1 / 50])
+    def test_just_under_the_bound_runs_without_warnings(self, t_frac):
+        l = _edge_landscape(0.999)
+        assert math.isfinite((2 * l.n - 1) * l.cost_bound)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for run in self._engines(l, t_frac * l.cost_bound):
+                p = run()
+                if hasattr(p, "energy"):
+                    assert np.isfinite(p.energy)
+                    assert np.isfinite(p.layer_cost).all()
+                    assert np.isfinite(p.mean_lag).all()
+                else:
+                    assert np.isfinite(p.total_energy)
+
+    def test_just_over_the_bound_refuses_before_the_first_layer(self, monkeypatch):
+        l = _edge_landscape(1.001)
+        assert (2 * l.n - 1) * l.cost_bound == math.inf
+        calls = []
+        layer = EnergyLandscape.layer
+
+        def counted(self, tau):
+            calls.append(tau)
+            return layer(self, tau)
+
+        monkeypatch.setattr(EnergyLandscape, "layer", counted)
+        for run in self._engines(l, l.cost_bound):
+            with pytest.raises(CostOverflowError, match="could overflow"):
+                run()
+        assert calls == []
 
 
 def _thermal_energies(l, res, where):

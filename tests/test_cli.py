@@ -358,9 +358,11 @@ class TestExitCodes:
         assert e.value.code == 6
         assert capsys.readouterr().err.startswith("toplag: output: ")
 
-    def test_cost_overflow_exits_5(self, tmp_path, capsys):
-        # Raw costs near 1e307 overflow the scan's cost sums: a path-engine
-        # error, not a crash and not an underflow.
+    @pytest.mark.parametrize("temperature", ["2e307", "0"])
+    def test_cost_overflow_exits_5(self, tmp_path, capsys, temperature):
+        # Raw costs near 1e307 could overflow the scan's cost sums, and the
+        # zero-temperature DP's path costs: a path-engine error, not a
+        # crash, an underflow or a path picked among +inf ties.
         rng = np.random.default_rng(0)
         paths = []
         for name in ("x", "y"):
@@ -371,10 +373,10 @@ class TestExitCodes:
                     fh.write(f"{t},{v!r}\n")
         with pytest.raises(SystemExit) as e:
             run(["analyze", *paths, "--out", str(tmp_path / "o"), "--no-standardize",
-                 "--temperature", "2e307", "--boundary-depth", "5"])
+                 "--temperature", temperature, "--boundary-depth", "5"])
         assert e.value.code == 5
         err = capsys.readouterr().err
-        assert "toplag: path-engine: sums of landscape costs overflowed" in err
+        assert "toplag: path-engine: sums of landscape costs could overflow" in err
         assert "Traceback" not in err
 
     def test_negative_temperature_rejected(self, tmp_path):

@@ -247,6 +247,23 @@ class TestRollingRegression:
         assert rep.n_windows >= 2000
         assert rep.frac_significant == pytest.approx(0.05, abs=0.03)
 
+    def test_huge_series_keep_every_window(self):
+        # Centred values near 1e200 square past the double range unless each
+        # series is first scaled by an exact power of two; the pair scaled
+        # by 2**-700 then gives the same bits.
+        rng = np.random.default_rng(3)
+        x = 1e200 * rng.normal(size=60)
+        y = 0.5 * x + 1e200 * rng.normal(size=60)
+        t, lag = np.arange(60), np.zeros(60)
+        big = run_consistency(AlignedPair(x=x, y=y), t, lag, window=20)
+        small = run_consistency(
+            AlignedPair(x=np.ldexp(x, -700), y=np.ldexp(y, -700)), t, lag, window=20
+        )
+        assert big.n_defined == big.n_windows == 41
+        for name in ("slope", "t_stat", "p_value"):
+            assert getattr(big, name).tobytes() == getattr(small, name).tobytes()
+        assert np.ldexp(big.intercept, -700).tobytes() == small.intercept.tobytes()
+
     def test_too_small_window_rejected(self):
         pair = AlignedPair(x=np.arange(10.0), y=np.arange(10.0))
         with pytest.raises(ValueError):

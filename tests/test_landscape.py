@@ -182,6 +182,13 @@ class TestAccessors:
                 assert got.dtype == np.float64
                 assert got.tobytes() == reference(l, tau).tobytes()
 
+    @pytest.mark.parametrize("mode", DistanceMode.ALL)
+    def test_cost_bound_is_at_or_above_every_cost(self, mode):
+        rng = np.random.default_rng(9)
+        l = EnergyLandscape(rng.normal(size=9), 3.0 * rng.normal(size=9), mode)
+        assert l.cost_bound == np.abs(l.x).max() + np.abs(l.y).max()
+        assert l.full_matrix().max() <= l.cost_bound
+
     def test_default_materialization_threshold(self):
         # eps stays None at every size; full_matrix builds the matrix on
         # each call.

@@ -1128,5 +1128,5 @@ class TestThermalAverageMatchesReference:
             warnings.simplefilter("error", RuntimeWarning)
             f = forward_weights(l, (0, 0), 2e307)
             b = backward_weights(l, (39, 39), 2e307) if bridge else None
-            with pytest.raises(CostOverflowError, match="overflowed the double range"):
+            with pytest.raises(CostOverflowError, match="could overflow the double range"):
                 thermal_average(l, f, b)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from toplag import zerotemp
-from toplag.errors import InvalidBoundaryError
+from toplag.errors import CostOverflowError, InvalidBoundaryError
 from toplag.ingest import AlignedPair
 from toplag.landscape import DistanceMode, build_landscape, layer_bounds
 from toplag.synth import LagScenario, enumerate_directed_paths, generate
@@ -37,6 +37,7 @@ class _Shifted:
         self.n_layers = base.n_layers
         self.mode = base.mode
         self.eps = None
+        self.cost_bound = base.cost_bound + abs(c)
 
     def layer(self, tau):
         return self._base.layer(tau) + self._c
@@ -57,6 +58,7 @@ class _Matrix:
     def __init__(self, e):
         self._e = np.asarray(e, dtype=np.float64)
         self.n = self._e.shape[0]
+        self.cost_bound = float(np.abs(self._e).max())
 
     def layer(self, tau):
         lo, hi = layer_bounds(self.n, tau)
@@ -376,6 +378,15 @@ class TestOptimalPath:
         l = build_landscape(random_pair(0, 5))
         with pytest.raises(InvalidBoundaryError):
             optimal_path(l, start=(0, 0), end=(5, 5))
+
+    def test_cost_sums_that_could_overflow_are_refused(self):
+        # Path costs near 1e307 sum past the double range, where every
+        # path's total ties at +inf.
+        rng = np.random.default_rng(0)
+        pair = AlignedPair(x=1e307 * rng.standard_normal(40),
+                           y=1e307 * rng.standard_normal(40))
+        with pytest.raises(CostOverflowError, match="could overflow"):
+            optimal_path(build_landscape(pair))
 
     def test_unordered_anchors_rejected(self):
         l = build_landscape(random_pair(0, 5))
