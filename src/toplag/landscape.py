@@ -10,7 +10,7 @@ Three cost modes are supported:
 
 Anti-diagonal layers tau = i + j are the natural sweep order for the path
 engines, so the landscape exposes per-layer cost vectors that are generated
-on demand; the full n x n matrix is built only when asked for, and only for
+on demand, one at a time or as a stream; the full n x n matrix is built only when asked for, and only for
 small lattices.
 """
 
@@ -98,9 +98,12 @@ class EnergyLandscape:
     """Mismatch costs over the lattice, with on-demand layer access.
 
     Entries are generated from the stored series; a reversed copy of y
-    (n doubles) makes each layer two forward slices. eps is always None: no
-    dense matrix is kept. The field stays only because perfbench/spans.py
-    reads it to count dense-cache bytes.
+    (n doubles) makes each layer two forward slices. layer(tau) returns a
+    fresh array. layers(start, stop) yields views of one n-double buffer
+    that each next layer overwrites, so a caller that keeps a layer past the
+    next iteration must copy it. eps is always None: no dense matrix is
+    kept. The field stays only because perfbench/spans.py reads it to count
+    dense-cache bytes.
     """
 
     x: np.ndarray
@@ -129,12 +132,15 @@ class EnergyLandscape:
         """max|x| + max|y|, at or above every node cost in every mode."""
         return sum(float(np.abs(v).max(initial=0.0)) for v in (self.x, self.y))
 
-    def _combine(self, xs, ys):
-        if self.mode == DistanceMode.COMONOTONIC:
-            return np.abs(xs - ys)
+    def _combine(self, xs, ys, out=None):
+        """Costs of the pairs xs, ys, written into out when it is given:
+        layer() and layers() share this kernel, so they give the same bits."""
         if self.mode == DistanceMode.ANTIMONOTONIC:
-            return np.abs(xs + ys)
-        return np.minimum(np.abs(xs - ys), np.abs(xs + ys))
+            return np.abs(np.add(xs, ys, out=out), out=out)
+        d = np.abs(np.subtract(xs, ys, out=out), out=out)
+        if self.mode == DistanceMode.COMONOTONIC:
+            return d
+        return np.minimum(d, np.abs(xs + ys), out=out)
 
     def entry(self, i, j):
         """Cost at node (i, j)."""
@@ -152,6 +158,21 @@ class EnergyLandscape:
         # n-1-tau+lo .. n-1-tau+hi of the reversed copy
         r = n - 1 - tau
         return self._combine(self.x[lo : hi + 1], self._y_rev[r + lo : r + hi + 1])
+
+    def layers(self, start, stop):
+        """Costs on anti-diagonals start .. stop-1 in turn, each as layer()
+        would return it, but written into one buffer that the next layer
+        overwrites: copy a layer that must outlive the next iteration."""
+        n, x, y_rev, combine = self.n, self.x, self._y_rev, self._combine
+        buf = np.empty(n)
+        for tau in range(start, stop):
+            # layer_bounds inline: i = lo..hi sits at n-1-tau+i of y_rev
+            if tau < n:
+                w = tau + 1
+                yield combine(x[:w], y_rev[n - w :], buf[:w])
+            else:
+                w = 2 * n - 1 - tau
+                yield combine(x[n - w :], y_rev[:w], buf[:w])
 
     def full_matrix(self):
         """Dense n x n cost matrix, built on each call; refuses on lattices

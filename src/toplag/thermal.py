@@ -6,7 +6,13 @@ path, boundary._bridge_pair_path, with every sweep in the log domain, whose
 unbounded dynamic range makes it the reference for the scan's linear-domain
 score tables. The scan's winner trajectory is its output for the winning
 pair.
-Its memory follows the scan's memory-budget plan; nothing is quadratic in n.
+Its memory follows the scan's memory-budget plan, which is sized for the
+scan's many fields, so for one field it is quadratic in n: while
+(2n - 1)·8n bytes fit DEFAULT_MEMORY_BUDGET (2 GB, up to n of about 11,000),
+the backward sweep is held whole, every layer's weights and costs, about
+16·n² bytes (273.7 MB traced at n = 4096, about 1.9 GB near n = 11,000).
+Above that it is replayed in blocks. ROADMAP item 6 would plan it by what
+is stored.
 
 Bridge mode conditions on both anchors: the weight of passing through a node
 is G_fwd * G_bwd * exp(+eps/T), where the positive factor undoes the node

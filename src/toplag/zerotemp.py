@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidBoundaryError
-from .landscape import check_cost_sums, check_node, layer_bounds
+from .landscape import check_cost_sums, check_node
 
 # Staged bits per plane between two packs into the bit-planes.
 _STAGE_BITS = 1 << 16
@@ -83,8 +83,10 @@ def optimal_path(l, start=None, end=None):
     his = np.minimum(ei, taus - sj)
     offs = np.zeros(taus.size + 1, dtype=np.int64)
     np.cumsum((his - los + 8) & -8, out=offs[1:])
-    whole = (los == np.maximum(0, taus - (n - 1))) & (his == np.minimum(taus, n - 1))
-    los, his, offs, whole = los.tolist(), his.tolist(), offs.tolist(), whole.tolist()
+    # each layer's costs arrive whole from the stream and are cut to the
+    # rectangle at lo - glo .. hi - glo, glo being the layer's own lo
+    glos = np.maximum(0, taus - (n - 1))
+    los, his, glos, offs = los.tolist(), his.tolist(), glos.tolist(), offs.tolist()
 
     # Accumulated costs live in three rotating rows of length n + 2, node i
     # at index i + 1, which start at +inf; a layer writes its costs at
@@ -106,9 +108,9 @@ def optimal_path(l, start=None, end=None):
     up_bits, left_bits = stage
     base = 0
     last = tau_end - tau0
-    for k, tau in enumerate(range(tau0, tau_end + 1)):
-        lo, hi = los[k], his[k]
-        eps = _layer_costs(l, tau, lo, hi, whole[k])
+    layers = zip(los, his, glos, offs, offs[1:], l.layers(tau0, tau_end + 1))
+    for k, (lo, hi, glo, off, stop, eps) in enumerate(layers):
+        eps = eps[lo - glo : hi - glo + 1]
         best = rows[k % 3][lo + 1 : hi + 2]
         if k == 0:
             best[:] = eps
@@ -118,14 +120,13 @@ def optimal_path(l, start=None, end=None):
             c_up = p1[lo : hi + 1]
             c_left = p1[lo + 1 : hi + 2]
             # Strict compares keep the diagonal, then (i-1, j), on ties.
-            a = offs[k] - base
+            a = off - base
             b = a + hi - lo + 1
             np.less(c_up, c_diag, out=up_bits[a:b])
             np.minimum(c_diag, c_up, out=best)
             np.less(c_left, best, out=left_bits[a:b])
             np.minimum(best, c_left, out=best)
             np.add(best, eps, out=best)
-        stop = offs[k + 1]
         if stop - base >= _STAGE_BITS or k == last:
             planes[:, base >> 3 : stop >> 3] = np.packbits(
                 stage[:, : stop - base], axis=1, bitorder="little"
@@ -165,13 +166,3 @@ def optimal_path(l, start=None, end=None):
         start=(si, sj),
         end=(ei, ej),
     )
-
-
-def _layer_costs(l, tau, lo, hi, whole):
-    """Landscape costs for layer tau restricted to i in [lo, hi]; whole says
-    that [lo, hi] is the entire layer, which is then returned as it is."""
-    layer = l.layer(tau)
-    if whole:
-        return layer
-    glo, _ = layer_bounds(l.n, tau)
-    return layer[lo - glo : hi - glo + 1]

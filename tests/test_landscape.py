@@ -182,6 +182,32 @@ class TestAccessors:
                 assert got.dtype == np.float64
                 assert got.tobytes() == reference(l, tau).tobytes()
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 400])
+    @pytest.mark.parametrize("mode", DistanceMode.ALL)
+    def test_layer_stream_matches_layer(self, n, mode):
+        rng = np.random.default_rng(40 + n)
+        base = EnergyLandscape(rng.normal(size=n), rng.normal(size=n), mode)
+        m = base.n_layers
+        ranges = [(0, m), (0, 1), (m - 1, m), (1, m - 1), (n - 1, n), (n // 2, n + 2)]
+        ranges += [(0, 0), (n, n), (m, m)]
+        for l in (base, base.reflected()):
+            for start, stop in ranges:
+                stop = min(stop, m)
+                got = [eps.copy() for eps in l.layers(start, stop)]
+                assert len(got) == max(0, stop - start)
+                for tau, eps in zip(range(start, stop), got):
+                    want = l.layer(tau)
+                    assert eps.dtype == want.dtype and eps.tobytes() == want.tobytes()
+
+    def test_layer_stream_reuses_one_buffer(self):
+        l = build_landscape(random_pair(5, 6))
+        stream = l.layers(0, l.n_layers)
+        first = next(stream)
+        kept = first.copy()
+        second = next(stream)
+        assert np.shares_memory(first, second)
+        assert first[0] == second[0] != kept[0]
+
     @pytest.mark.parametrize("mode", DistanceMode.ALL)
     def test_cost_bound_is_at_or_above_every_cost(self, mode):
         rng = np.random.default_rng(9)

@@ -8,7 +8,7 @@ import pytest
 from toplag import zerotemp
 from toplag.errors import CostOverflowError, InvalidBoundaryError
 from toplag.ingest import AlignedPair
-from toplag.landscape import DistanceMode, build_landscape, layer_bounds
+from toplag.landscape import DistanceMode, EnergyLandscape, build_landscape, layer_bounds
 from toplag.synth import LagScenario, enumerate_directed_paths, generate
 from toplag.zerotemp import HardPath, optimal_path
 
@@ -16,15 +16,14 @@ from conftest import integer_pair, random_pair
 
 
 def path_sums(l, paths):
-    e = l.full_matrix()
-    out = np.zeros(paths.shape[0])
-    for r in range(paths.shape[0]):
-        for tau in range(paths.shape[1]):
-            x = paths[r, tau]
-            if x < -100:
-                continue
-            out[r] += e[(tau - x) >> 1, (tau + x) >> 1]
-    return out
+    # sentinels (< -100, a layer skipped by a diagonal step) read node
+    # (tau >> 1, tau >> 1) and add 0; cumsum adds each path's costs in
+    # layer order, as a loop over the layers would
+    valid = paths >= -100
+    x = np.where(valid, paths, 0)
+    tau = np.arange(paths.shape[1])
+    c = l.full_matrix()[(tau - x) >> 1, (tau + x) >> 1]
+    return np.cumsum(np.where(valid, c, 0.0), axis=1)[:, -1]
 
 
 class _Shifted:
@@ -41,6 +40,10 @@ class _Shifted:
 
     def layer(self, tau):
         return self._base.layer(tau) + self._c
+
+    def layers(self, start, stop):
+        for eps in self._base.layers(start, stop):
+            yield eps + self._c
 
     def nodes(self, i, j):
         return self._base.nodes(i, j) + self._c
@@ -64,6 +67,9 @@ class _Matrix:
         lo, hi = layer_bounds(self.n, tau)
         i = np.arange(lo, hi + 1)
         return self._e[i, tau - i]
+
+    def layers(self, start, stop):
+        return map(self.layer, range(start, stop))
 
     def nodes(self, i, j):
         return self._e[np.asarray(i), np.asarray(j)]
@@ -387,6 +393,23 @@ class TestOptimalPath:
                            y=1e307 * rng.standard_normal(40))
         with pytest.raises(CostOverflowError, match="could overflow"):
             optimal_path(build_landscape(pair))
+
+    @pytest.mark.parametrize("mode", DistanceMode.ALL)
+    def test_costs_come_from_the_layer_stream(self, mode, monkeypatch):
+        # Every layer's costs arrive through EnergyLandscape.layers; no
+        # per-layer call is left.
+        calls = []
+        layer = EnergyLandscape.layer
+
+        def counted(self, tau):
+            calls.append(tau)
+            return layer(self, tau)
+
+        monkeypatch.setattr(EnergyLandscape, "layer", counted)
+        l = build_landscape(random_pair(6, 30), mode=mode)
+        optimal_path(l)
+        optimal_path(l, (3, 1), (20, 25))
+        assert calls == []
 
     def test_unordered_anchors_rejected(self):
         l = build_landscape(random_pair(0, 5))
