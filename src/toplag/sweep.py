@@ -95,7 +95,6 @@ class _StackedSweep:
         self.rows = np.full(shape, -np.inf) if log_domain else np.zeros(shape)
         self.tau = -1
         self.s1 = None  # stored weights on layer tau, full layer extent
-        self.lo1 = 0
         self.log1 = np.full(self.n_fields, -np.inf)
         self.log2 = np.full(self.n_fields, -np.inf)  # layer tau - 1
         # Linear domain: all_live says every field has weight on layer tau
@@ -127,19 +126,18 @@ class _StackedSweep:
     def restore(self, snap):
         self.rows[:] = self.zero
         self.tau = tau = snap["tau"]
-        self.s1, self.lo1, self.eps, self.costs = None, 0, None, None
+        self.s1, self.eps, self.costs = None, None, None
         self.all_live = False
         if snap["s2"] is not None:
             self._layer(tau - 1)[:] = snap["s2"]
         if snap["s1"] is not None:
             self.s1 = self._layer(tau)
             self.s1[:] = snap["s1"]
-            self.lo1 = layer_bounds(self.n, tau)[0]
         self.log1 = snap["log1"].copy()
         self.log2 = snap["log2"].copy()
 
     def step(self, costs=None):
-        """Produce the next layer; afterwards s1/log1/lo1/eps/costs describe it.
+        """Produce the next layer; afterwards s1/log1/eps/costs describe it.
 
         costs is the layer's (eps, emin, w), as self.costs holds them after
         a step: its landscape costs, their minimum and the weights
@@ -220,7 +218,7 @@ class _StackedSweep:
             self.all_live = peak_min > 0 and self.bounded_scales
             self.log2, self.log1 = self.log1, log_new
 
-        self.s1, self.lo1 = raw.T, lo
+        self.s1 = raw.T
         self.eps = eps
         self.costs = (eps, emin, w)
         self.tau = tau

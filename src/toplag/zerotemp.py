@@ -18,6 +18,12 @@ whenever _STAGE_BITS bits have gathered, and once more after the last layer.
 The backtrack follows (i, j-1) if its bit is set, else (i-1, j) if its bit is
 set, else the diagonal. The start layer's bits and the padding bits are never
 read.
+
+Besides the planes, the DP holds only typed arrays: the per-layer bounds and
+bit offsets as int64 arrays, which the loops read through memoryviews, the
+three rows of running costs, and the walk-back's layers and rows, written
+into two preallocated int64 arrays. No Python object is kept per layer or
+per node.
 """
 
 from dataclasses import dataclass
@@ -60,39 +66,18 @@ class HardPath:
         return {int(t): int(x) for t, x in zip(self.taus, self.lags)}
 
 
-def optimal_path(l, start=None, end=None):
-    """Minimal-cost path between two lattice nodes (corners by default);
-    CostOverflowError first if path costs could overflow (check_cost_sums)."""
-    check_cost_sums(l)
+def _backpointers(l, tau0, los, his, glos, offs):
+    """The DP over layers tau0 .. tau0 + len(los) - 1 of the rectangle whose
+    layer k holds nodes los[k] .. his[k] (glos[k] being the layer's own lo)
+    at bits offs[k] .. of the returned (2, offs[-1] // 8) bit-planes. Its
+    cost rows and staging buffer are freed on return, before the walk-back
+    allocates."""
     n = l.n
-    if start is None:
-        start = (0, 0)
-    if end is None:
-        end = (n - 1, n - 1)
-    si, sj = check_node(n, start)
-    ei, ej = check_node(n, end)
-    if ei < si or ej < sj:
-        raise InvalidBoundaryError(
-            f"end ({ei}, {ej}) not reachable from start ({si}, {sj})"
-        )
-
-    tau0 = si + sj
-    tau_end = ei + ej
-    taus = np.arange(tau0, tau_end + 1)
-    los = np.maximum(si, taus - ej)
-    his = np.minimum(ei, taus - sj)
-    offs = np.zeros(taus.size + 1, dtype=np.int64)
-    np.cumsum((his - los + 8) & -8, out=offs[1:])
-    # each layer's costs arrive whole from the stream and are cut to the
-    # rectangle at lo - glo .. hi - glo, glo being the layer's own lo
-    glos = np.maximum(0, taus - (n - 1))
-    los, his, glos, offs = los.tolist(), his.tolist(), glos.tolist(), offs.tolist()
-
     # Accumulated costs live in three rotating rows of length n + 2, node i
     # at index i + 1, which start at +inf; a layer writes its costs at
     # lo+1 .. hi+1 and nothing else. The predecessor slices (lo .. hi+1 of
     # the previous row, lo .. hi of the one before) hold that layer's nodes
-    # or cells no layer has written: index si while lo stays at si, and
+    # or cells no layer has written: index los[0] while lo stays there, and
     # while hi grows, the index past a predecessor's last node, which no
     # shorter layer before it in the row reached. Their +inf stands for the
     # nodes outside a layer and the absent layers before tau0. This holds
@@ -107,8 +92,8 @@ def optimal_path(l, start=None, end=None):
     stage = np.zeros((2, min(offs[-1], _STAGE_BITS + n + 7)), dtype=bool)
     up_bits, left_bits = stage
     base = 0
-    last = tau_end - tau0
-    layers = zip(los, his, glos, offs, offs[1:], l.layers(tau0, tau_end + 1))
+    last = len(los) - 1
+    layers = zip(los, his, glos, offs, offs[1:], l.layers(tau0, tau0 + last + 1))
     for k, (lo, hi, glo, off, stop, eps) in enumerate(layers):
         eps = eps[lo - glo : hi - glo + 1]
         best = rows[k % 3][lo + 1 : hi + 2]
@@ -132,16 +117,60 @@ def optimal_path(l, start=None, end=None):
                 stage[:, : stop - base], axis=1, bitorder="little"
             )
             base = stop
-    del stage, up_bits, left_bits  # the walk reads only the planes
+    return planes
 
-    # Walk back from the end following the stored predecessor bits.
+
+def optimal_path(l, start=None, end=None):
+    """Minimal-cost path between two lattice nodes (corners by default);
+    CostOverflowError first if path costs could overflow (check_cost_sums).
+
+    Above its bit-planes and staging buffer the call holds O(n) int64 and
+    float64 arrays: a traced peak of 128 to 142 bytes per lattice row at
+    n = 1000, 2000 and 4000. nodes and mapping are built by numpy from the
+    walk-back's arrays.
+    """
+    check_cost_sums(l)
+    n = l.n
+    if start is None:
+        start = (0, 0)
+    if end is None:
+        end = (n - 1, n - 1)
+    si, sj = check_node(n, start)
+    ei, ej = check_node(n, end)
+    if ei < si or ej < sj:
+        raise InvalidBoundaryError(
+            f"end ({ei}, {ej}) not reachable from start ({si}, {sj})"
+        )
+
+    tau0 = si + sj
+    tau_end = ei + ej
+    taus = np.arange(tau0, tau_end + 1)
+    los = np.maximum(si, taus - ej)
+    his = np.minimum(ei, taus - sj)
+    offs = np.zeros(taus.size + 1, dtype=np.int64)
+    np.cumsum((his - los + 8) & -8, out=offs[1:])
+    # each layer's costs arrive whole from the stream and are cut to the
+    # rectangle at lo - glo .. hi - glo, glo being the layer's own lo
+    glos = np.maximum(0, taus - (n - 1))
+    # memoryviews hand the loops Python ints without a list of them
+    los, his, glos, offs = map(memoryview, (los, his, glos, offs))
+
+    planes = _backpointers(l, tau0, los, his, glos, offs)
+
+    # Walk back from the end following the stored predecessor bits,
+    # writing each node's layer k and row i from the end of two arrays.
     up, left = map(memoryview, planes)
-    path = []
+    last = tau_end - tau0
+    ks = np.empty(last + 1, dtype=np.int64)
+    rows_i = np.empty(last + 1, dtype=np.int64)
+    kv, iv = memoryview(ks), memoryview(rows_i)
+    m = last
     k, i = last, ei
     while True:
-        path.append((i, tau0 + k - i))
+        kv[m], iv[m] = k, i
         if k == 0:
             break
+        m -= 1
         b = offs[k] + i - los[k]
         byte, bit = b >> 3, b & 7
         if (left[byte] >> bit) & 1:
@@ -152,13 +181,14 @@ def optimal_path(l, start=None, end=None):
         else:
             k -= 2
             i -= 1
-    path.reverse()
-    nodes = np.array(path, dtype=np.int64)
+    i_path = rows_i[m:]
+    nodes = np.column_stack((i_path, ks[m:] + tau0 - i_path))
     total = float(np.sum(l.nodes(nodes[:, 0], nodes[:, 1])))
 
-    mapping = np.empty(ei - si + 1, dtype=np.int64)
-    for i, j in path:
-        mapping[i - si] = j
+    # Each row's last node is where the next node's row is one higher.
+    last_in_row = np.ones(nodes.shape[0], dtype=bool)
+    np.not_equal(nodes[1:, 0], nodes[:-1, 0], out=last_in_row[:-1])
+    mapping = nodes[last_in_row, 1]
     return HardPath(
         nodes=nodes,
         total_energy=total,

@@ -1,6 +1,7 @@
 """CSV intake, clock alignment, and normalization."""
 
 import csv
+import tracemalloc
 from datetime import datetime, timezone
 
 import numpy as np
@@ -107,6 +108,36 @@ class TestParseCsv:
             parse_csv(p, "time", "value")
         assert e.value.row == 2
         assert "short row" in str(e.value)
+
+    def test_duplicate_after_skipped_row_and_blank_line_names_data_row(self, tmp_csv):
+        # data rows 1, 2 (skipped), 3, 4: the skipped row counts, the blank
+        # line does not, and the row stays a Python int
+        p = tmp_csv("a.csv", ["1,1.0", "x,0", "", "2,2.0", "2,3.0"])
+        with pytest.raises(NonMonotoneTimestampsError) as e:
+            parse_csv(p, "time", "value", skip_bad_rows=True)
+        assert e.value.row == 4
+        assert type(e.value.row) is int
+        assert str(e.value) == f"row 4 of {p}: duplicated timestamp"
+
+    def test_memory_per_row_of_a_minute_series(self, tmp_path):
+        # Kept rows are packed as they are read: 24 bytes of records, then
+        # the two 8-byte columns copied out, and no Python object per row.
+        n = 100_000
+        start = np.datetime64("2020-01-01T00:00", "m")
+        stamps = start + np.arange(n).astype("timedelta64[m]")
+        values = np.random.default_rng(11).normal(size=n)
+        p = tmp_path / "a.csv"
+        with open(p, "w", encoding="utf-8") as fh:
+            fh.write("time,value\n")
+            fh.writelines(f"{s}:00,{float(v)!r}\n" for s, v in zip(stamps, values))
+        tracemalloc.start()
+        try:
+            s = parse_csv(str(p), "time", "value")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert s.n == n
+        assert peak <= 80 * n
 
 
 # datetime64[ns] holds 1677-09-21T00:12:43.145224193 .. 2262-04-11T23:47:16.854775807.

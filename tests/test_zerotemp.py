@@ -570,6 +570,30 @@ def test_backpointer_memory_below_half_byte_per_node():
     assert peak < n * n / 2
 
 
+def test_working_memory_above_the_bit_planes_is_linear():
+    # Besides its bit-planes and staging buffer, the DP holds O(n) int64
+    # arrays (layer bounds, bit offsets, the walk-back's layers and rows,
+    # nodes, mapping) and three rows of costs; no Python object per layer
+    # or per node.
+    n = 4000
+    rng = np.random.default_rng(29)
+    x = np.cumsum(rng.normal(size=n))
+    y = np.roll(x, 6) + 0.3 * rng.normal(size=n)
+    l = build_landscape(AlignedPair(x=x, y=y))
+    optimal_path(l, end=(20, 20))
+    tau = np.arange(2 * n - 1)
+    widths = np.minimum(tau, n - 1) - np.maximum(0, tau - (n - 1)) + 1
+    plane_bytes = 2 * int(((widths + 7) & -8).sum() >> 3)
+    tracemalloc.start()
+    try:
+        p = optimal_path(l)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert p.nodes.shape[0] > n
+    assert peak <= plane_bytes + 2 * zerotemp._STAGE_BITS + 200 * n
+
+
 class TestConstantShift:
     def test_shifted_dp_equals_shifted_enumeration_minimum(self):
         # node counts differ across paths, so the argmin may legitimately
